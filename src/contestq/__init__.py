@@ -14,6 +14,7 @@ from .game import (
     Deviation,
     Participation,
     PneResult,
+    StabilityKernel,
     is_pne,
     load_of,
     utility,
@@ -50,6 +51,7 @@ from .dynamics import (
     PathStatus,
     Policy,
     analyze_graph,
+    analyze_improvement_graph,
     build_improvement_graph,
     check_no_switch_lemma,
     improvement_steps,

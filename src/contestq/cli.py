@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .dynamics import (
     PathStatus,
-    analyze_graph,
+    analyze_improvement_graph,
     build_improvement_graph,
     run_improvement_path,
     to_dot,
@@ -53,7 +53,12 @@ def _cap(default: int, override: Optional[int]) -> int:
     if override is not None:
         return override
     env = os.environ.get("CONTESTQ_CAP")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ContestError(f"CONTESTQ_CAP={env!r} is not an integer") from None
 
 
 def parse_profile(text: str) -> Profile:
@@ -209,9 +214,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
     game = load_game(args.game)
     mode = "anonymous" if args.anonymous else args.mode
     max_nodes = _cap(DEFAULT_NODE_CAP, args.max_nodes)
-    analysis = analyze_graph(game, mode=mode, max_nodes=max_nodes)
+    graph = build_improvement_graph(game, mode=mode, max_nodes=max_nodes)
+    analysis = analyze_improvement_graph(graph)
     if args.dot:
-        graph = build_improvement_graph(game, mode=mode, max_nodes=max_nodes)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(graph))
     prefix = "L:" if analysis.mode == "anonymous" else ""

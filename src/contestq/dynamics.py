@@ -270,7 +270,11 @@ def analyze_graph(game: ContestGame, mode: str = "auto",
     (equilibrium loads in anonymous mode).  The cycle witness, if any,
     comes from the first back edge of a three-color depth-first search.
     """
-    graph = build_improvement_graph(game, mode, max_nodes)
+    return analyze_improvement_graph(build_improvement_graph(game, mode, max_nodes))
+
+
+def analyze_improvement_graph(graph: ImprovementGraph) -> GraphAnalysis:
+    """`analyze_graph` on a graph already built."""
     witness = find_cycle(graph)
     return GraphAnalysis(
         mode=graph.mode,

@@ -22,7 +22,15 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import GameValidationError
-from .payments import PaymentFunction, evaluate_payment
+from .payments import (
+    PaymentFunction,
+    PaymentKind,
+    evaluate_payment,
+    load_of,
+    payment_on_loads,
+    require_table_entries,
+    specific_payment_on_loads,
+)
 
 Profile = tuple[int, ...]
 Loads = tuple[int, ...]
@@ -157,14 +165,6 @@ class ContestGame:
         return range(1, self.n + 1)
 
 
-def load_of(profile: Profile, Q: int) -> Loads:
-    """Per-quality occupancy counts of a profile; sums to len(profile)."""
-    loads = [0] * Q
-    for q in profile:
-        loads[q - 1] += 1
-    return tuple(loads)
-
-
 def validate_profile(game: ContestGame, profile: Profile) -> None:
     if len(profile) != game.n:
         raise GameValidationError(
@@ -227,3 +227,85 @@ def is_pne(game: ContestGame, profile: Profile) -> PneResult:
             if gain > 0 and (best is None or gain > best.gain):
                 best = Deviation(i, q, gain)
     return PneResult(best is None, best)
+
+
+class StabilityKernel:
+    """Equilibrium test for scanning many profiles of one game.
+
+    Except under profile-keyed tables, a player's utility depends only
+    on (player, own quality, load vector L).  Whether player i may stay
+    at quality a, ``stays(i, a, L)``, is then decided once and reused by
+    every profile with loads L: no b != a gives u(i, b, L - e_a + e_b)
+    > u(i, a, L).  Under profile-keyed tables the profile itself is the
+    key and each u(i, p) is computed once.  Utilities are exact and
+    compared strictly, so `stable` agrees with `is_pne` on every
+    profile.  Memos live in the instance; build one per scan.
+
+    Construction raises MissingTableEntryError if any table key a full
+    scan would read is absent, so first-hit and exhaustive scans fail
+    alike.
+    """
+
+    def __init__(self, game: ContestGame) -> None:
+        require_table_entries(game)
+        pf = game.payment
+        self._Q = game.Q
+        self._costs = tuple(tuple(game.cost_of(i, q) for q in game.qualities())
+                            for i in game.players())
+        self._by_profile = pf.profile_table is not None
+        if pf.profile_table is not None:
+            table = pf.profile_table
+            self._payment = lambda i, q, p: table[(i, p)]
+        elif pf.loads_table is not None:
+            self._payment = lambda i, q, loads: specific_payment_on_loads(
+                game, i, q, loads)
+        elif pf.kind is PaymentKind.OBLIVIOUS_TABLE and pf.matrices is not None:
+            mats = pf.matrices
+            self._payment = lambda i, q, loads: mats[i - 1][q - 1][loads[q - 1] - 1]
+        else:
+            self._payment = lambda i, q, loads: payment_on_loads(game, q, loads)
+        self._utilities: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
+        self._stays: dict[tuple[int, int, Loads], bool] = {}
+
+    def stable(self, profile: Profile) -> bool:
+        """True iff `profile` is a pure Nash equilibrium."""
+        if self._by_profile:
+            return all(self.stays(i, a, profile) for i, a in enumerate(profile, 1))
+        loads = load_of(profile, self._Q)
+        memo = self._stays
+        for i, a in enumerate(profile, 1):
+            key = (i, a, loads)
+            ok = memo.get(key)
+            if ok is None:
+                ok = memo[key] = self.stays(i, a, loads)
+            if not ok:
+                return False
+        return True
+
+    def stays(self, i: int, a: int, key: tuple[int, ...]) -> bool:
+        """No switch of player i from quality a strictly gains at `key`.
+
+        `key` is the load vector, or the profile under profile-keyed
+        tables; player i holds quality a in it.
+        """
+        here = self._utility(i, a, key)
+        for b in range(1, self._Q + 1):
+            if b != a and self._utility(i, b, self._move(key, i, a, b)) > here:
+                return False
+        return True
+
+    def _move(self, key: tuple[int, ...], i: int, a: int, b: int) -> tuple[int, ...]:
+        if self._by_profile:
+            return key[: i - 1] + (b,) + key[i:]
+        moved = list(key)
+        moved[a - 1] -= 1
+        moved[b - 1] += 1
+        return tuple(moved)
+
+    def _utility(self, i: int, q: int, key: tuple[int, ...]) -> Fraction:
+        memo_key = (i, q, key)
+        value = self._utilities.get(memo_key)
+        if value is None:
+            value = self._payment(i, q, key) - self._costs[i - 1][q - 1]
+            self._utilities[memo_key] = value
+        return value

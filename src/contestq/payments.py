@@ -172,11 +172,12 @@ def player_specific_table(
     )
 
 
-def _loads(profile: Profile, Q: int) -> Loads:
-    counts = [0] * Q
+def load_of(profile: Profile, Q: int) -> Loads:
+    """Per-quality occupancy counts of a profile; sums to len(profile)."""
+    loads = [0] * Q
     for q in profile:
-        counts[q - 1] += 1
-    return tuple(counts)
+        loads[q - 1] += 1
+    return tuple(loads)
 
 
 @lru_cache(maxsize=None)
@@ -262,8 +263,8 @@ def evaluate_payment(game: "ContestGame", profile: Profile, player: int) -> Frac
                     f"no payment for player {player} at profile {profile}"
                 ) from None
         assert pf.loads_table is not None
-        return specific_payment_on_loads(game, player, own, _loads(profile, game.Q))
-    loads = _loads(profile, game.Q)
+        return specific_payment_on_loads(game, player, own, load_of(profile, game.Q))
+    loads = load_of(profile, game.Q)
     if kind is PaymentKind.OBLIVIOUS_TABLE and pf.matrices is not None:
         return pf.matrices[player - 1][own - 1][loads[own - 1] - 1]
     return payment_on_loads(game, own, loads)
@@ -327,6 +328,41 @@ def specific_payment_on_loads(game: "ContestGame", player: int, quality: int,
         ) from None
 
 
+def require_table_entries(game: "ContestGame") -> None:
+    """Raise MissingTableEntryError unless a full profile scan finds every key.
+
+    Membership only: every (player, profile) of a profile-keyed table,
+    every (player, quality, loads) and every (quality, loads) with the
+    quality occupied.  Closed-form kinds and oblivious matrices, whose
+    shape is validated at construction, pass trivially.
+    """
+    pf = game.payment
+    n, Q = game.n, game.Q
+    if pf.profile_table is not None:
+        for profile in product(range(1, Q + 1), repeat=n):
+            for player in range(1, n + 1):
+                if (player, profile) not in pf.profile_table:
+                    raise MissingTableEntryError(
+                        f"no payment for player {player} at profile {profile}")
+        return
+    if pf.loads_table is None and pf.invariant_table is None:
+        return
+    for loads in compositions(n, Q):
+        for quality in range(1, Q + 1):
+            if loads[quality - 1] == 0:
+                continue
+            if pf.invariant_table is not None:
+                if (quality, loads) not in pf.invariant_table:
+                    raise MissingTableEntryError(
+                        f"no payment for quality {quality} at loads {loads}")
+                continue
+            for player in range(1, n + 1):
+                if (player, quality, loads) not in pf.loads_table:
+                    raise MissingTableEntryError(
+                        f"no payment for player {player}, quality {quality}, "
+                        f"loads {loads}")
+
+
 class Classification(NamedTuple):
     oblivious: bool
     player_invariant: bool
@@ -348,7 +384,7 @@ def classify(game: "ContestGame", cap: int = 10**6) -> Classification:
     invariant = True
     seen: dict[tuple[int, int, Fraction], Fraction] = {}
     for profile in product(range(1, Q + 1), repeat=n):
-        loads = _loads(profile, Q)
+        loads = load_of(profile, Q)
         pays = [evaluate_payment(game, profile, i) for i in range(1, n + 1)]
         for i in range(1, n + 1):
             own = profile[i - 1]

@@ -9,17 +9,24 @@ that equilibrium conditions hinge on.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
+from .errors import ContestError
 
-class RationalParseError(ValueError):
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+class RationalParseError(ContestError, ValueError):
     """Raised when a value cannot be read as an exact rational."""
 
 
 def parse_rational(value: object) -> Fraction:
     """Read an exact rational from a JSON-ish value.
 
-    Accepts ``"p/q"`` and ``"p"`` strings, ints, and Fractions.
+    Accepts ``"p/q"`` and ``"p"`` strings of ASCII digits with an
+    optional sign, ints, and Fractions.  Decimal points, exponents and
+    surrounding whitespace are rejected.
     """
     if isinstance(value, Fraction):
         return value
@@ -28,8 +35,11 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise RationalParseError(
+                f"bad rational string {value!r}: expected 'p/q' or 'p'")
         try:
-            return Fraction(value.strip())
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalParseError(f"bad rational string {value!r}: {exc}") from None
     if isinstance(value, float):

@@ -33,6 +33,7 @@ from .game import (
     Loads,
     Participation,
     Profile,
+    StabilityKernel,
     is_pne,
     load_of,
 )
@@ -59,14 +60,19 @@ def brute_force_pne(game: ContestGame, find_all: bool = False,
     """Scan all Q^n profiles for pure Nash equilibria.
 
     Returns the first equilibrium in lexicographic profile order, and
-    with `find_all` the complete equilibrium set.
+    with `find_all` the complete equilibrium set.  Each profile costs
+    O(n) memo reads on top of at most n*Q^2*C(n+Q-1, Q-1) utility
+    evaluations shared by the whole scan (see `StabilityKernel`);
+    profile-keyed tables cost one evaluation per (player, profile).
+    A missing table entry raises before the scan in both modes.
     """
     count = game.Q**game.n
     if count > cap:
         raise CapExceededError(f"{count} profiles exceed the cap {cap}")
+    kernel = StabilityKernel(game)
     hits: list[Profile] = []
     for profile in product(game.qualities(), repeat=game.n):
-        if is_pne(game, profile):
+        if kernel.stable(profile):
             if not find_all:
                 return BruteForceResult(profile, None, count)
             hits.append(profile)
@@ -424,8 +430,16 @@ def solve_all_at_lowest(game: ContestGame) -> Optional[Profile]:
     """All-players-at-quality-1, valid when skills dominate f2/(f2-f1).
 
     Requires proportional allocation, mandatory participation, and
-    product costs.  When the skill bound fails the guarantee is silent
-    and None is returned.
+    product costs.  Returns (1, ..., 1) when both
+
+    * min skill >= f2 / (f2 - f1), and
+    * f2 >= 1 - 1/n (the effort normalization),
+
+    and None otherwise, where the guarantee is silent.  Proportional
+    payments do not change when every effort is scaled but costs do, so
+    the skill bound alone is not enough.  Together the two conditions
+    give, for a switch to any quality q >= 2, s*(f_q - f1) >= f2 >=
+    1 - 1/n > f_q/((n-1)*f1 + f_q) - 1/n: the gain is never positive.
     """
     if game.payment.kind is not PaymentKind.PROPORTIONAL:
         raise PreconditionError("requires proportional allocation")
@@ -434,13 +448,12 @@ def solve_all_at_lowest(game: ContestGame) -> Optional[Profile]:
     if game.cost.kind != "product":
         raise PreconditionError("requires product skill-effort costs")
     f1, f2 = game.efforts[0], game.efforts[1]
-    bound = f2 / (f2 - f1)
-    if min(game.skills) < bound:
+    if min(game.skills) < f2 / (f2 - f1) or f2 < 1 - Fraction(1, game.n):
         return None
     profile = (1,) * game.n
     verdict = is_pne(game, profile)
-    if not verdict:  # pragma: no cover - contradicts the skill bound
-        raise AssertionError(f"skill bound held but deviation exists: {verdict.witness}")
+    if not verdict:  # pragma: no cover - contradicts the docstring's proof
+        raise AssertionError(f"both conditions held but deviation exists: {verdict.witness}")
     return profile
 
 

@@ -96,6 +96,48 @@ def test_graph_command_writes_dot(tmp_path, capsys):
     assert text.count("doublecircle") == 2
 
 
+FIP_VOLUNTARY_3x2_DOT = """digraph improvement {
+  "L:3,0" [shape=doublecircle];
+  "L:2,1" [shape=doublecircle];
+  "L:1,2" [shape=circle];
+  "L:0,3" [shape=circle];
+  "L:1,2" -> "L:2,1" [label="2->1"];
+  "L:0,3" -> "L:1,2" [label="2->1"];
+}
+"""
+
+
+def test_graph_dot_builds_once_with_unchanged_output(tmp_path, capsys, monkeypatch):
+    import contestq.cli as cli
+
+    builds = []
+    real_build = cli.build_improvement_graph
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_improvement_graph", counting_build)
+    path = tmp_path / "fip.json"
+    save_game(build("fip_voluntary", n=3, Q=2).game, path)
+    dot = tmp_path / "out.dot"
+    code, out, _ = run(capsys, "graph", "--game", str(path), "--dot", str(dot))
+    assert (code, len(builds)) == (0, 1)
+    assert out == ("mode: anonymous; nodes: 4; edges: 2\n"
+                   "sinks (2): L:2,1 L:3,0\n"
+                   "acyclic: yes (finite improvement property holds)\n")
+    assert dot.read_text(encoding="utf-8") == FIP_VOLUNTARY_3x2_DOT
+
+    cyclic = tmp_path / "ce2.json"
+    save_game(build("ce2", k=2).game, cyclic)
+    code, out, _ = run(capsys, "graph", "--game", str(cyclic), "--dot", str(dot))
+    assert (code, len(builds)) == (1, 2)
+    assert out == ("mode: profile; nodes: 9; edges: 18\n"
+                   "sinks (0): \n"
+                   "acyclic: no; witness cycle: 2,2 -> 2,3 -> 1,3 -> 1,2 -> 2,2\n")
+    assert len(dot.read_text(encoding="utf-8").splitlines()) == 9 + 18 + 2
+
+
 def test_graph_detects_cycle(tmp_path, capsys):
     path = tmp_path / "ce2.json"
     save_game(build("ce2", k=2).game, path)
@@ -154,6 +196,38 @@ def test_cap_env_var_respected(ce1_path, capsys, monkeypatch):
     code, _, err = run(capsys, "solve", "--game", ce1_path, "--method", "brute")
     assert code == 2
     assert "cap" in err
+
+
+def test_non_integer_cap_env_var_is_usage_error(ce1_path, capsys, monkeypatch):
+    monkeypatch.setenv("CONTESTQ_CAP", "abc")
+    code, _, err = run(capsys, "solve", "--game", ce1_path, "--method", "brute")
+    assert code == 2
+    assert err.startswith("error:") and "CONTESTQ_CAP" in err
+
+
+@pytest.mark.parametrize("skill", [0.5, "1.5", "1e99999999"])
+def test_non_rational_skill_is_usage_error(ce1_path, capsys, skill):
+    with open(ce1_path, encoding="utf-8") as fh:
+        blob = json.load(fh)
+    blob["skills"][0] = skill
+    with open(ce1_path, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh)
+    code, out, err = run(capsys, "verify", "--game", ce1_path, "--profile", "1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_all_at_one_declines_scaled_efforts(tmp_path, capsys):
+    from contestq import parse_game
+
+    path = tmp_path / "scaled.json"
+    save_game(parse_game({
+        "n": 2, "Q": 2, "skills": ["2", "2"], "efforts": ["1/100", "2/100"],
+        "participation": "mandatory", "cost": {"kind": "product"},
+        "payment": {"type": "proportional"}}), path)
+    code, out, _ = run(capsys, "solve", "--game", str(path), "--method", "all-at-one")
+    assert code == 1
+    assert out == "no pure Nash equilibrium under this method's guarantee\n"
 
 
 def test_solve_contiguous_cli(tmp_path, capsys):

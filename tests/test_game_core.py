@@ -22,6 +22,13 @@ from contestq.game import CostMonotonicityWarning
 from conftest import make_game
 
 
+def test_load_of_is_one_function():
+    import contestq.game
+    import contestq.payments
+
+    assert contestq.game.load_of is contestq.payments.load_of is load_of
+
+
 def test_load_of_counts():
     assert load_of((1, 2), 3) == (1, 1, 0)
     assert load_of((2, 2, 2), 2) == (0, 3)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from contestq import (
+    ContestError,
     GameValidationError,
     build,
     load_game,
@@ -27,6 +28,19 @@ def test_rational_parsing():
         parse_rational("1/0")
     with pytest.raises(RationalParseError):
         parse_rational(True)
+    assert parse_rational("-3/4") == F(-3, 4)
+    assert parse_rational("+2") == F(2)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e-3", "1e99999999", " 1", "1/", "/2",
+                                  "1/-2", "0x10", ""])
+def test_rational_strings_are_p_over_q_only(text):
+    with pytest.raises(RationalParseError):
+        parse_rational(text)
+
+
+def test_rational_parse_error_is_a_contest_error():
+    assert issubclass(RationalParseError, ContestError)
 
 
 @pytest.mark.parametrize("iid,kwargs", [

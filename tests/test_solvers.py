@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -5,6 +6,8 @@ import pytest
 
 from contestq import (
     CapExceededError,
+    CostFunction,
+    MissingTableEntryError,
     PreconditionError,
     brute_force_pne,
     build,
@@ -15,7 +18,9 @@ from contestq import (
     is_pne,
     is_three_discrete_concave_invariant,
     is_three_discrete_concave_specific,
+    ktop,
     load_of,
+    oblivious_table,
     player_invariant_table,
     player_specific_table,
     proportional,
@@ -52,6 +57,105 @@ def test_brute_force_matching_pennies():
 def test_brute_force_cap():
     with pytest.raises(CapExceededError):
         brute_force_pne(build("ce1").game, cap=8)
+
+
+# --- stability kernel against the per-profile is_pne scan ------------------
+
+def reference_equilibria(game):
+    return [p for p in product(game.qualities(), repeat=game.n) if is_pne(game, p)]
+
+
+def _small(rng, denom=4):
+    # coarse values make ties, so strict comparisons matter
+    return F(rng.randint(0, 3), denom)
+
+
+KERNEL_SHAPES = ((2, 2), (3, 2), (5, 2), (2, 3), (4, 3), (5, 3), (2, 4), (3, 4))
+
+
+def kernel_games(seed):
+    """One game of every payment kind, drawn from `seed`, n <= 5, Q <= 4."""
+    rng = random.Random(seed)
+    n, Q = KERNEL_SHAPES[seed % len(KERNEL_SHAPES)]
+    voluntary = seed % 2 == 0
+    efforts = [F(0) if voluntary else F(rng.randint(1, 2), 2)]
+    for _ in range(Q - 1):
+        efforts.append(efforts[-1] + F(rng.randint(1, 3), 2))
+    skills = [F(rng.randint(1, 8), 8) for _ in range(n)]
+    loads = list(compositions(n, Q))
+    profiles = list(product(range(1, Q + 1), repeat=n))
+    cost_rows = tuple(
+        tuple(F(0) if voluntary and q == 0 else _small(rng) + q for q in range(Q))
+        for _ in range(n))
+    games = [random_game(seed, n, Q, family)
+             for family in ("oblivious-invariant", "concave-specific",
+                            "concave-invariant", "proportional")]
+    games += [
+        make_game(n, Q, skills, efforts, equal_sharing()),
+        make_game(n, Q, skills, efforts, ktop(rng.randint(1, Q))),
+        make_game(n, Q, skills, efforts, oblivious_table(matrices=tuple(
+            tuple(tuple(_small(rng, n) for _ in range(n)) for _ in range(Q))
+            for _ in range(n)))),
+        make_game(n, Q, skills, efforts, player_invariant_table(
+            {(q, v): _small(rng) for v in loads for q in range(1, Q + 1)
+             if v[q - 1] > 0}), cost=CostFunction("table", cost_rows)),
+        make_game(n, Q, skills, efforts, player_specific_table(loads_table={
+            (i, q, v): _small(rng) for i in range(1, n + 1) for v in loads
+            for q in range(1, Q + 1)})),
+        make_game(n, Q, skills, efforts, player_specific_table(profile_table={
+            (i, p): _small(rng) for i in range(1, n + 1) for p in profiles})),
+        reduce_from_normal_form([{p: F(rng.randint(-2, 2)) for p in profiles}
+                                 for _ in range(n)]),
+    ]
+    return games
+
+
+@pytest.mark.parametrize("seed", range(2 * len(KERNEL_SHAPES)))
+def test_kernel_matches_per_profile_is_pne_scan(seed):
+    games = kernel_games(seed)
+    if seed == 0:
+        games += [build("ce1").game, build("ce2", k=3).game,
+                  build("matching_pennies").game]
+    for game in games:
+        truth = reference_equilibria(game)
+        first = truth[0] if truth else None
+        every = brute_force_pne(game, find_all=True)
+        assert (every.found, every.all, every.scanned) == \
+            (first, tuple(truth), game.Q**game.n)
+        hit = brute_force_pne(game)
+        assert (hit.found, hit.all, hit.scanned) == (first, None, game.Q**game.n)
+
+
+def _zero_table(form, n, Q):
+    """Zero payments: with product costs, all at quality 1 is the first PNE."""
+    qualities = range(1, Q + 1)
+    if form == "profile_table":
+        return {(i, p): F(0) for i in range(1, n + 1)
+                for p in product(qualities, repeat=n)}
+    loads = list(compositions(n, Q))
+    if form == "loads_table":
+        return {(i, q, v): F(0) for i in range(1, n + 1) for v in loads
+                for q in qualities if v[q - 1] > 0}
+    return {(q, v): F(0) for v in loads for q in qualities if v[q - 1] > 0}
+
+
+# each hole is a key that the scan from (1, 1, 1) reaches only much later
+@pytest.mark.parametrize("form, hole", [("profile_table", (1, (2, 2, 2))),
+                                        ("loads_table", (1, 2, (0, 3))),
+                                        ("invariant_table", (2, (0, 3)))])
+def test_missing_table_entry_raises_in_both_modes(form, hole):
+    n, Q = 3, 2
+    make = {"profile_table": lambda t: player_specific_table(profile_table=t),
+            "loads_table": lambda t: player_specific_table(loads_table=t),
+            "invariant_table": player_invariant_table}[form]
+    table = _zero_table(form, n, Q)
+    full = make_game(n, Q, (1, 1, 1), (1, 2), make(table))
+    assert brute_force_pne(full).found == (1, 1, 1)
+    del table[hole]
+    holed = make_game(n, Q, (1, 1, 1), (1, 2), make(table))
+    for find_all in (False, True):
+        with pytest.raises(MissingTableEntryError):
+            brute_force_pne(holed, find_all=find_all)
 
 
 # --- concavity checkers ----------------------------------------------------
@@ -273,6 +377,40 @@ def test_all_at_lowest_fails_for_counterexample2_skills():
     game = build("ce2", k=2).game
     assert game.skills == (F(3, 19), F(3, 31))
     assert solve_all_at_lowest(game) is None
+
+
+def test_all_at_lowest_declines_scaled_efforts():
+    # skills meet f2/(f2-f1) = 2, yet player 1 gains 11/75 at quality 2
+    game = make_game(2, 2, (2, 2), (F(1, 100), F(2, 100)), proportional())
+    assert not is_pne(game, (1, 1))
+    assert solve_all_at_lowest(game) is None
+
+
+def test_all_at_lowest_at_the_edge_of_both_conditions():
+    # n = 2: f2 = 1/2 = 1 - 1/n and every skill equals f2/(f2-f1) = 2
+    game = make_game(2, 3, (2, 2), (F(1, 4), F(1, 2), F(3, 4)), proportional())
+    assert solve_all_at_lowest(game) == (1, 1)
+    assert brute_force_pne(game, find_all=True).all[0] == (1, 1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_all_at_lowest_over_scaled_efforts(seed):
+    rng = random.Random(seed)
+    n, Q = rng.randint(2, 4), rng.randint(2, 3)
+    scale = rng.choice((F(1, 1000), F(1, 100), F(1, 10), F(1, 2), F(1)))
+    efforts = [F(rng.randint(1, 4), rng.choice((1, 2, 3)))]
+    for _ in range(Q - 1):
+        efforts.append(efforts[-1] + F(rng.randint(1, 4), rng.choice((1, 2, 3))))
+    efforts = [scale * f for f in efforts]
+    bound = efforts[1] / (efforts[1] - efforts[0])
+    skills = [bound + F(rng.randint(0, 4), 4) for _ in range(n)]
+    game = make_game(n, Q, skills, efforts, proportional())
+    profile = solve_all_at_lowest(game)
+    if efforts[1] >= 1 - F(1, n):
+        assert profile == (1,) * n
+        assert profile in brute_force_pne(game, find_all=True).all
+    else:
+        assert profile is None
 
 
 def test_all_at_lowest_preconditions():
