@@ -22,6 +22,7 @@ import time
 from typing import Optional, Sequence
 
 from .dynamics import (
+    DEFAULT_NODE_CAP,
     PathStatus,
     analyze_improvement_graph,
     build_improvement_graph,
@@ -30,12 +31,13 @@ from .dynamics import (
 )
 from .errors import ContestError
 from .game import ContestGame, Profile, is_pne, load_of, utility
-from .gamefile import load_game, save_game, serialize_game
+from .gamefile import load_game, load_profile, save_game, serialize_game
 from .instances import INSTANCE_IDS, build, verify_certificate
 from .payments import PaymentKind, classify
 from .potential import potential_ascent
 from .rationals import format_rational
 from .solvers import (
+    DEFAULT_PROFILE_CAP,
     brute_force_pne,
     concavity_report,
     is_three_discrete_concave_invariant,
@@ -44,9 +46,6 @@ from .solvers import (
     solve_contiguous_invariant,
     solve_contiguous_specific,
 )
-
-DEFAULT_PROFILE_CAP = 10**6
-DEFAULT_NODE_CAP = 10**5
 
 
 def _cap(default: int, override: Optional[int]) -> int:
@@ -136,12 +135,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elif method == "contiguous":
         if game.payment.kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
             outcome = solve_contiguous_specific(
-                game, check_concavity=not args.trust_concavity,
-                workers=args.workers)
+                game, check_concavity=not args.trust_concavity)
         else:
             outcome = solve_contiguous_invariant(
-                game, check_concavity=not args.trust_concavity,
-                workers=args.workers)
+                game, check_concavity=not args.trust_concavity)
         found = outcome.assignment.profile if outcome.assignment else None
         candidates = outcome.candidates
     elif method == "all-at-one":
@@ -169,11 +166,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     game = load_game(args.game)
     if args.profile_file:
-        with open(args.profile_file, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict) or "profile" not in payload:
-            raise ContestError(f"{args.profile_file}: no 'profile' key")
-        profile = tuple(int(q) for q in payload["profile"])
+        profile = load_profile(args.profile_file)
     elif args.profile:
         profile = parse_state(game, args.profile)
     else:
@@ -297,7 +290,6 @@ def make_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-profiles", type=int, default=None)
     solve.add_argument("--trust-concavity", action="store_true",
                        help="skip the three-discrete-concavity check")
-    solve.add_argument("--workers", type=int, default=1)
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check whether a profile is a PNE")

@@ -16,11 +16,21 @@ import random as _random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import CapExceededError, PreconditionError
-from .game import ContestGame, Deviation, Participation, Profile, utility, validate_profile
-from .payments import PaymentKind, compositions, payment_on_loads
+from .game import (
+    ContestGame,
+    Deviation,
+    Participation,
+    Profile,
+    StabilityKernel,
+    _shift,
+    validate_profile,
+)
+from .payments import PaymentKind, compositions
 
 Loads = tuple[int, ...]
 Node = tuple[int, ...]  # profile or load vector depending on mode
@@ -31,17 +41,7 @@ DEFAULT_NODE_CAP = 10**5
 def improvement_steps(game: ContestGame, profile: Profile) -> list[Deviation]:
     """All strictly improving unilateral deviations, exact gains."""
     validate_profile(game, profile)
-    steps = []
-    for i in game.players():
-        here = utility(game, profile, i)
-        for q in game.qualities():
-            if q == profile[i - 1]:
-                continue
-            moved = profile[: i - 1] + (q,) + profile[i:]
-            gain = utility(game, moved, i) - here
-            if gain > 0:
-                steps.append(Deviation(i, q, gain))
-    return steps
+    return list(StabilityKernel(game).improvements(profile))
 
 
 class Policy(Enum):
@@ -99,6 +99,7 @@ def run_improvement_path(game: ContestGame, start: Profile,
     policy = parse_policy(policy)
     validate_profile(game, start)
     rng = _random.Random(seed)
+    kernel = StabilityKernel(game)
     profile = tuple(start)
     seen: dict[Profile, int] = {profile: 0}
     path = [profile]
@@ -106,11 +107,10 @@ def run_improvement_path(game: ContestGame, start: Profile,
     while True:
         if max_steps is not None and steps >= max_steps:
             return PathResult(PathStatus.TRUNCATED, steps=steps)
-        move = _pick_move(game, profile, policy, rng)
+        move = _pick_move(kernel, profile, policy, rng)
         if move is None:
             return PathResult(PathStatus.CONVERGED, profile=profile, steps=steps)
-        i, q = move
-        profile = profile[: i - 1] + (q,) + profile[i:]
+        profile = move.apply(profile)
         steps += 1
         if profile in seen:
             return PathResult(PathStatus.CYCLE, steps=steps,
@@ -119,35 +119,17 @@ def run_improvement_path(game: ContestGame, start: Profile,
         path.append(profile)
 
 
-def _pick_move(game: ContestGame, profile: Profile, policy: Policy,
-               rng: _random.Random) -> Optional[tuple[int, int]]:
+def _pick_move(kernel: StabilityKernel, profile: Profile, policy: Policy,
+               rng: _random.Random) -> Optional[Deviation]:
+    moves = kernel.improvements(profile)
     if policy is Policy.FIRST_IMPROVING:
-        for i in game.players():
-            here = utility(game, profile, i)
-            for q in game.qualities():
-                if q != profile[i - 1]:
-                    moved = profile[: i - 1] + (q,) + profile[i:]
-                    if utility(game, moved, i) > here:
-                        return i, q
-        return None
+        return next(moves, None)
     if policy is Policy.BEST_RESPONSE:
-        for i in game.players():
-            here = utility(game, profile, i)
-            best: Optional[tuple[Fraction, int]] = None
-            for q in game.qualities():
-                if q != profile[i - 1]:
-                    moved = profile[: i - 1] + (q,) + profile[i:]
-                    gain = utility(game, moved, i) - here
-                    if gain > 0 and (best is None or gain > best[0]):
-                        best = (gain, q)
-            if best is not None:
-                return i, best[1]
+        for _, own in groupby(moves, key=attrgetter("player")):
+            return max(own, key=attrgetter("gain"))
         return None
-    options = improvement_steps(game, profile)
-    if not options:
-        return None
-    pick = options[rng.randrange(len(options))]
-    return pick.player, pick.quality
+    options = list(moves)
+    return options[rng.randrange(len(options))] if options else None
 
 
 @dataclass(frozen=True)
@@ -212,13 +194,12 @@ def _build_profile(game: ContestGame, max_nodes: int) -> ImprovementGraph:
 
     nodes = [tuple(p) for p in _product(game.qualities(), repeat=game.n)]
     graph = ImprovementGraph(mode="profile", nodes=nodes)
+    kernel = StabilityKernel(game)
     for node in nodes:
-        outs = []
-        for step in improvement_steps(game, node):
-            target = node[: step.player - 1] + (step.quality,) + node[step.player:]
-            outs.append(Edge(node, target, step.player,
-                             node[step.player - 1], step.quality, step.gain))
-        graph.edges[node] = outs
+        graph.edges[node] = [
+            Edge(node, step.apply(node), step.player, node[step.player - 1],
+                 step.quality, step.gain)
+            for step in kernel.improvements(node)]
     return graph
 
 
@@ -232,23 +213,12 @@ def _build_anonymous(game: ContestGame, max_nodes: int) -> ImprovementGraph:
         )
     nodes = list(compositions(game.n, game.Q))
     graph = ImprovementGraph(mode="anonymous", nodes=nodes)
+    kernel = StabilityKernel(game)  # players are interchangeable: ask player 1
     for loads in nodes:
-        outs = []
-        for a in game.qualities():
-            if loads[a - 1] == 0:
-                continue
-            here = payment_on_loads(game, a, loads) - game.cost_of(1, a)
-            for b in game.qualities():
-                if b == a:
-                    continue
-                moved = list(loads)
-                moved[a - 1] -= 1
-                moved[b - 1] += 1
-                moved_t = tuple(moved)
-                there = payment_on_loads(game, b, moved_t) - game.cost_of(1, b)
-                if there > here:
-                    outs.append(Edge(loads, moved_t, None, a, b, there - here))
-        graph.edges[loads] = outs
+        graph.edges[loads] = [
+            Edge(loads, _shift(loads, a, b), None, a, b, gain)
+            for a in game.qualities() if loads[a - 1]
+            for b, gain in kernel.gains(1, a, loads)]
     return graph
 
 

@@ -19,16 +19,16 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Optional
 
-from .errors import GameValidationError
+from .errors import GameValidationError, MissingTableEntryError
 from .payments import (
     PaymentFunction,
     PaymentKind,
     evaluate_payment,
     load_of,
     payment_on_loads,
-    require_table_entries,
     specific_payment_on_loads,
 )
 
@@ -198,6 +198,10 @@ class Deviation(NamedTuple):
     quality: int
     gain: Fraction
 
+    def apply(self, profile: Profile) -> Profile:
+        """The profile after the move."""
+        return profile[: self.player - 1] + (self.quality,) + profile[self.player:]
+
 
 @dataclass(frozen=True)
 class PneResult:
@@ -216,38 +220,35 @@ def is_pne(game: ContestGame, profile: Profile) -> PneResult:
     the lower player index, then the lower quality.
     """
     validate_profile(game, profile)
-    best: Optional[Deviation] = None
-    for i in game.players():
-        here = utility(game, profile, i)
-        for q in game.qualities():
-            if q == profile[i - 1]:
-                continue
-            moved = profile[: i - 1] + (q,) + profile[i:]
-            gain = utility(game, moved, i) - here
-            if gain > 0 and (best is None or gain > best.gain):
-                best = Deviation(i, q, gain)
+    best = max(StabilityKernel(game).improvements(profile),
+               key=attrgetter("gain"), default=None)
     return PneResult(best is None, best)
 
 
+def _shift(loads: Loads, down: int, up: int) -> Loads:
+    """The load vector after one player moves from quality `down` to `up`."""
+    moved = list(loads)
+    moved[down - 1] -= 1
+    moved[up - 1] += 1
+    return tuple(moved)
+
+
 class StabilityKernel:
-    """Equilibrium test for scanning many profiles of one game.
+    """The deviation kernel: every unilateral-switch scan of one game.
 
     Except under profile-keyed tables, a player's utility depends only
-    on (player, own quality, load vector L).  Whether player i may stay
-    at quality a, ``stays(i, a, L)``, is then decided once and reused by
-    every profile with loads L: no b != a gives u(i, b, L - e_a + e_b)
-    > u(i, a, L).  Under profile-keyed tables the profile itself is the
-    key and each u(i, p) is computed once.  Utilities are exact and
-    compared strictly, so `stable` agrees with `is_pne` on every
-    profile.  Memos live in the instance; build one per scan.
+    on (player, own quality, load vector L), so whether player i gains
+    by leaving quality a depends on (i, a, L) alone.  Each utility is
+    computed once per (player, quality, key) and `stable` decides each
+    `stays(i, a, L)` once for every profile with loads L.  Under
+    profile-keyed tables the profile itself is the key.  Utilities are
+    exact and compared strictly; memos live in the instance, so build
+    one kernel per game for a scan, a walk or a graph.
 
-    Construction raises MissingTableEntryError if any table key a full
-    scan would read is absent, so first-hit and exhaustive scans fail
-    alike.
+    A missing table entry raises MissingTableEntryError when it is read.
     """
 
     def __init__(self, game: ContestGame) -> None:
-        require_table_entries(game)
         pf = game.payment
         self._Q = game.Q
         self._costs = tuple(tuple(game.cost_of(i, q) for q in game.qualities())
@@ -255,7 +256,14 @@ class StabilityKernel:
         self._by_profile = pf.profile_table is not None
         if pf.profile_table is not None:
             table = pf.profile_table
-            self._payment = lambda i, q, p: table[(i, p)]
+
+            def profile_payment(i: int, q: int, profile: Profile) -> Fraction:
+                try:
+                    return table[(i, profile)]
+                except KeyError:
+                    raise MissingTableEntryError(
+                        f"no payment for player {i} at profile {profile}") from None
+            self._payment = profile_payment
         elif pf.loads_table is not None:
             self._payment = lambda i, q, loads: specific_payment_on_loads(
                 game, i, q, loads)
@@ -282,11 +290,35 @@ class StabilityKernel:
                 return False
         return True
 
-    def stays(self, i: int, a: int, key: tuple[int, ...]) -> bool:
-        """No switch of player i from quality a strictly gains at `key`.
+    def improvements(self, profile: Profile) -> Iterator[Deviation]:
+        """Every strictly improving unilateral move out of `profile`.
+
+        Players in index order, then target qualities ascending.
+        """
+        profile = tuple(profile)
+        key = profile if self._by_profile else load_of(profile, self._Q)
+        for i, a in enumerate(profile, 1):
+            for b, gain in self.gains(i, a, key):
+                yield Deviation(i, b, gain)
+
+    def gains(self, i: int, a: int, key: tuple[int, ...]) -> Iterator[tuple[int, Fraction]]:
+        """(b, gain) for every b != a, ascending, where player i strictly gains.
 
         `key` is the load vector, or the profile under profile-keyed
         tables; player i holds quality a in it.
+        """
+        here = self._utility(i, a, key)
+        for b in range(1, self._Q + 1):
+            if b != a:
+                gain = self._utility(i, b, self._move(key, i, a, b)) - here
+                if gain > 0:
+                    yield b, gain
+
+    def stays(self, i: int, a: int, key: tuple[int, ...]) -> bool:
+        """No switch of player i from quality a strictly gains at `key`.
+
+        The same test as an empty `gains(i, a, key)`, written out because
+        profile scans call it on every memo miss.
         """
         here = self._utility(i, a, key)
         for b in range(1, self._Q + 1):
@@ -297,10 +329,7 @@ class StabilityKernel:
     def _move(self, key: tuple[int, ...], i: int, a: int, b: int) -> tuple[int, ...]:
         if self._by_profile:
             return key[: i - 1] + (b,) + key[i:]
-        moved = list(key)
-        moved[a - 1] -= 1
-        moved[b - 1] += 1
-        return tuple(moved)
+        return _shift(key, a, b)
 
     def _utility(self, i: int, q: int, key: tuple[int, ...]) -> Fraction:
         memo_key = (i, q, key)

@@ -64,10 +64,14 @@ def _int(value: object, where: str) -> int:
     return value
 
 
-def _int_list(value: object, where: str) -> list[int]:
+def _list(value: object, where: str) -> list:
     if not isinstance(value, list):
         raise GameValidationError(f"{where}: expected a list")
-    return [_int(v, where) for v in value]
+    return value
+
+
+def _int_list(value: object, where: str) -> list[int]:
+    return [_int(v, where) for v in _list(value, where)]
 
 
 def parse_game(obj: Mapping) -> ContestGame:
@@ -75,8 +79,8 @@ def parse_game(obj: Mapping) -> ContestGame:
                         "cost", "payment"}, set(), "game")
     n = _int(obj["n"], "n")
     Q = _int(obj["Q"], "Q")
-    skills = tuple(parse_rational(v) for v in obj["skills"])
-    efforts = tuple(parse_rational(v) for v in obj["efforts"])
+    skills = tuple(parse_rational(v) for v in _list(obj["skills"], "skills"))
+    efforts = tuple(parse_rational(v) for v in _list(obj["efforts"], "efforts"))
     mode = obj["participation"]
     if mode not in ("voluntary", "mandatory"):
         raise GameValidationError(f"participation must be voluntary|mandatory, got {mode!r}")
@@ -233,7 +237,7 @@ def _serialize_payment(pf: PaymentFunction) -> dict:
     return {"type": "player_specific", "table": entries}
 
 
-def load_game(path: Union[str, Path]) -> ContestGame:
+def _load_object(path: Union[str, Path]) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -241,7 +245,19 @@ def load_game(path: Union[str, Path]) -> ContestGame:
             raise GameValidationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise GameValidationError(f"{path}: top level must be an object")
-    return parse_game(obj)
+    return obj
+
+
+def load_game(path: Union[str, Path]) -> ContestGame:
+    return parse_game(_load_object(path))
+
+
+def load_profile(path: Union[str, Path]) -> tuple[int, ...]:
+    """The 'profile' list of integers in a JSON object (solve --format json)."""
+    obj = _load_object(path)
+    if "profile" not in obj:
+        raise GameValidationError(f"{path}: no 'profile' key")
+    return tuple(_int_list(obj["profile"], f"{path}: profile"))
 
 
 def save_game(game: ContestGame, path: Union[str, Path]) -> None:

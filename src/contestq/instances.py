@@ -23,8 +23,8 @@ from typing import Optional
 from .dynamics import (
     PathStatus,
     analyze_graph,
-    build_improvement_graph,
     check_no_switch_lemma,
+    improvement_steps,
     run_improvement_path,
 )
 from .errors import PreconditionError
@@ -138,6 +138,10 @@ def build(instance_id: str, *, k: int = 2, n: int = 3, Q: int = 3,
     if instance_id == "natasa":
         efforts_t = efforts if efforts is not None else tuple(
             F(q) for q in range(1, Q + 1))
+        if efforts_t[1] < 1 - F(1, n):
+            raise PreconditionError(
+                f"natasa needs the effort normalization f2 >= 1 - 1/n = "
+                f"{1 - F(1, n)}; got f2 = {efforts_t[1]}")
         bound = efforts_t[1] / (efforts_t[1] - efforts_t[0])
         skills_t = skills if skills is not None else (bound,) * n
         game = ContestGame(
@@ -151,9 +155,8 @@ def build(instance_id: str, *, k: int = 2, n: int = 3, Q: int = 3,
 
 
 def _cycle_edges_present(game: ContestGame, cycle: list[Profile]) -> tuple[bool, str]:
-    graph = build_improvement_graph(game, mode="profile")
     for a, b in zip(cycle, cycle[1:]):
-        if b not in [e.target for e in graph.edges[a]]:
+        if b not in [step.apply(a) for step in improvement_steps(game, a)]:
             return False, f"missing improvement edge {a} -> {b}"
     return True, ""
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError
-from .game import ContestGame, Profile, load_of, utility, validate_profile
+from .game import ContestGame, Profile, StabilityKernel, load_of, validate_profile
 from .payments import classify, payment_on_loads
 
 ZERO = Fraction(0)
@@ -94,8 +94,7 @@ def potential(game: ContestGame, profile: Profile,
     return total
 
 
-def potential_ascent(game: ContestGame, start: Profile,
-                     cache: Optional[PotentialCache] = None) -> Profile:
+def potential_ascent(game: ContestGame, start: Profile) -> Profile:
     """Follow first-improving deviations until no player can gain.
 
     Deviations are scanned players-in-index-order, target qualities
@@ -103,26 +102,13 @@ def potential_ascent(game: ContestGame, start: Profile,
     stops within the number of profiles.  The fixed point is a pure
     Nash equilibrium by construction.
     """
-    if cache is None:
-        cache = build_potential_cache(game)
+    require_exact_potential(game)
     validate_profile(game, start)
+    kernel = StabilityKernel(game)
     profile = tuple(start)
-    limit = game.Q**game.n + 1
-    for _ in range(limit):
-        step = _first_improvement(game, profile)
+    for _ in range(game.Q**game.n + 1):
+        step = next(kernel.improvements(profile), None)
         if step is None:
             return profile
-        profile = step
+        profile = step.apply(profile)
     raise AssertionError("ascent exceeded the profile count; potential not exact?")
-
-
-def _first_improvement(game: ContestGame, profile: Profile) -> Optional[Profile]:
-    for i in game.players():
-        here = utility(game, profile, i)
-        for q in game.qualities():
-            if q == profile[i - 1]:
-                continue
-            moved = profile[: i - 1] + (q,) + profile[i:]
-            if utility(game, moved, i) > here:
-                return moved
-    return None

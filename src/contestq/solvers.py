@@ -34,6 +34,7 @@ from .game import (
     Participation,
     Profile,
     StabilityKernel,
+    _shift,
     is_pne,
     load_of,
 )
@@ -42,6 +43,7 @@ from .payments import (
     compositions,
     payment_on_loads,
     player_specific_table,
+    require_table_entries,
     specific_payment_on_loads,
 )
 
@@ -69,6 +71,7 @@ def brute_force_pne(game: ContestGame, find_all: bool = False,
     count = game.Q**game.n
     if count > cap:
         raise CapExceededError(f"{count} profiles exceed the cap {cap}")
+    require_table_entries(game)
     kernel = StabilityKernel(game)
     hits: list[Profile] = []
     for profile in product(game.qualities(), repeat=game.n):
@@ -101,13 +104,6 @@ class ConcavityReport:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def _shift(loads: Loads, down: int, up: int) -> Loads:
-    moved = list(loads)
-    moved[down - 1] -= 1
-    moved[up - 1] += 1
-    return tuple(moved)
 
 
 def _concavity_scan(n: int, Q: int, players: Sequence[Optional[int]],
@@ -297,14 +293,13 @@ class SolveOutcome:
     candidates: int
 
 
-def solve_contiguous_specific(game: ContestGame, check_concavity: bool = True,
-                              workers: int = 1) -> SolveOutcome:
+def solve_contiguous_specific(game: ContestGame,
+                              check_concavity: bool = True) -> SolveOutcome:
     """Search contiguous load vectors under player-specific payments.
 
-    Every candidate is vetted by the full no-switch condition: for each
-    occupied quality, every player in its block, and every target
-    quality, the cost saving must not exceed the payment drop.  The
-    first satisfying candidate in colexicographic order wins.
+    Every candidate is vetted by the full no-switch condition: no
+    player gains by any switch (`StabilityKernel.stable`).  The first
+    satisfying candidate in colexicographic order wins.
     """
     pf = game.payment
     if pf.kind is not PaymentKind.PLAYER_SPECIFIC_TABLE or pf.loads_table is None:
@@ -319,29 +314,13 @@ def solve_contiguous_specific(game: ContestGame, check_concavity: bool = True,
                 f"payments are not three-discrete-concave: {report.violation}"
             )
 
-    def candidate_ok(loads: Loads) -> bool:
-        assignment = contiguous_assignment(game, loads)
-        for q in game.qualities():
-            if loads[q - 1] == 0:
-                continue
-            for i in assignment.block(q):
-                here = specific_payment_on_loads(game, i, q, loads) \
-                    - game.cost_of(i, q)
-                for q2 in game.qualities():
-                    if q2 == q:
-                        continue
-                    moved = _shift(loads, q, q2)
-                    there = specific_payment_on_loads(game, i, q2, moved) \
-                        - game.cost_of(i, q2)
-                    if there > here:
-                        return False
-        return True
-
-    return _scan_candidates(game, candidate_ok, workers)
+    kernel = StabilityKernel(game)
+    return _scan_candidates(
+        game, lambda loads: kernel.stable(contiguous_assignment(game, loads).profile))
 
 
-def solve_contiguous_invariant(game: ContestGame, check_concavity: bool = True,
-                               workers: int = 1) -> SolveOutcome:
+def solve_contiguous_invariant(game: ContestGame,
+                               check_concavity: bool = True) -> SolveOutcome:
     """Search contiguous load vectors under player-invariant payments.
 
     The payment side of the no-switch condition is shared by a whole
@@ -385,34 +364,22 @@ def solve_contiguous_invariant(game: ContestGame, check_concavity: bool = True,
                         return False
         return True
 
-    return _scan_candidates(game, candidate_ok, workers)
+    return _scan_candidates(game, candidate_ok)
 
 
-def _scan_candidates(game: ContestGame, candidate_ok: Callable[[Loads], bool],
-                     workers: int) -> SolveOutcome:
+def _scan_candidates(game: ContestGame,
+                     candidate_ok: Callable[[Loads], bool]) -> SolveOutcome:
     # The outcome reports the full enumeration size C(n+Q-1, Q-1); the
-    # winning candidate is the one of minimum index either way.
+    # winning candidate is the one of minimum index.
     candidates = list(compositions(game.n, game.Q))
-    hit: Optional[int] = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, ok in enumerate(pool.map(candidate_ok, candidates)):
-                if ok and hit is None:
-                    hit = idx
-    else:
-        for idx, loads in enumerate(candidates):
-            if candidate_ok(loads):
-                hit = idx
-                break
+    hit = next((loads for loads in candidates if candidate_ok(loads)), None)
     if hit is None:
         return SolveOutcome(None, len(candidates))
-    assignment = contiguous_assignment(game, candidates[hit])
+    assignment = contiguous_assignment(game, hit)
     verdict = is_pne(game, assignment.profile)
     if not verdict:
         raise ContigufyError(
-            f"candidate {candidates[hit]} passed the block conditions but "
+            f"candidate {hit} passed the block conditions but "
             f"fails the profile check: {verdict.witness}"
         )
     return SolveOutcome(assignment, len(candidates))

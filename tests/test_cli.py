@@ -217,6 +217,36 @@ def test_non_rational_skill_is_usage_error(ce1_path, capsys, skill):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("content", ['{"profile": [1.9, "2"]}', '{"profile": [true, 1]}',
+                                     '{"profile": "12"}', '[1, 1]', '{"profile": [1, 1'])
+def test_malformed_profile_file_is_usage_error(wow_path, tmp_path, capsys, content):
+    profile_file = tmp_path / "solution.json"
+    profile_file.write_text(content)
+    code, out, err = run(capsys, "verify", "--game", wow_path,
+                         "--profile-file", str(profile_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_verify_table_hole_is_usage_error(tmp_path, capsys):
+    from fractions import Fraction as F
+    from itertools import product
+    from contestq import ContestGame, CostFunction, Participation
+    from contestq import player_specific_table
+
+    table = {(i, p): F(0) for i in (1, 2) for p in product((1, 2), repeat=2)}
+    del table[(1, (2, 2))]
+    game = ContestGame(n=2, Q=2, skills=(F(1), F(1)), efforts=(F(1), F(2)),
+                       participation=Participation.MANDATORY,
+                       cost=CostFunction("product"),
+                       payment=player_specific_table(profile_table=table))
+    path = tmp_path / "holed.json"
+    save_game(game, path)
+    code, out, err = run(capsys, "verify", "--game", str(path), "--profile", "1,2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_all_at_one_declines_scaled_efforts(tmp_path, capsys):
     from contestq import parse_game
 
@@ -269,18 +299,6 @@ def test_solve_json_reports_none(ce1_path, capsys):
                        "--method", "brute", "--format", "json")
     assert code == 1
     assert json.loads(out)["status"] == "none"
-
-
-def test_solve_contiguous_workers(tmp_path, capsys):
-    from contestq import random_game
-
-    path = tmp_path / "concave.json"
-    save_game(random_game(2, 5, 2, "concave-invariant"), path)
-    code1, out1, _ = run(capsys, "solve", "--game", str(path),
-                         "--method", "contiguous")
-    code2, out2, _ = run(capsys, "solve", "--game", str(path),
-                         "--method", "contiguous", "--workers", "3")
-    assert (code1, out1) == (code2, out2)
 
 
 def test_dynamics_truncation_exit(ce1_path, capsys):

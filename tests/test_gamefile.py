@@ -96,6 +96,16 @@ def test_float_rationals_rejected():
         parse_game(blob)
 
 
+@pytest.mark.parametrize("field", ["skills", "efforts"])
+def test_rational_lists_must_be_json_lists(field):
+    # iterated as a string, "12" would read as the skills (1, 2) and
+    # "123" as the efforts (1, 2, 3): both a valid game
+    blob = serialize_game(build("ce2", k=2).game)
+    blob[field] = "12" if field == "skills" else "123"
+    with pytest.raises(GameValidationError):
+        parse_game(blob)
+
+
 def test_unknown_entry_key_rejected():
     blob = serialize_game(build("ce1").game)
     blob["payment"]["table"][0]["why"] = 1

@@ -57,6 +57,14 @@ def test_catalog_self_validates(iid, kwargs):
     assert report.passed, [c for c in report.claims if not c.passed]
 
 
+def test_natasa_rejects_efforts_outside_the_normalization():
+    with pytest.raises(PreconditionError):
+        build("natasa", n=2, efforts=(F(1, 100), F(2, 100)))
+    # f2 = 1 - 1/n exactly is inside it, and the certificate holds
+    at_edge = build("natasa", n=2, efforts=(F(1, 4), F(1, 2)))
+    assert verify_certificate(at_edge).passed
+
+
 def test_unknown_instance():
     with pytest.raises(PreconditionError):
         build("nope")

@@ -5,6 +5,7 @@ import pytest
 
 from contestq import (
     PreconditionError,
+    StabilityKernel,
     brute_force_pne,
     build,
     build_potential_cache,
@@ -70,6 +71,22 @@ def test_ascent_reaches_pne_es_3x2():
         assert end in pnes
 
 
+def test_ascent_needs_only_the_classifier_on_specific_tables():
+    # a loads-keyed player-specific table that is extensionally oblivious
+    # and player-invariant: the classifier certifies an exact potential,
+    # and the ascent walks it without evaluating the potential itself
+    from contestq import classify, compositions, player_specific_table
+
+    pay = {(1, 1): F(1, 2), (1, 2): F(1, 8), (2, 1): F(1, 4), (2, 2): F(1, 16)}
+    table = {(i, q, v): pay[(q, v[q - 1])] for i in (1, 2) for q in (1, 2)
+             for v in compositions(2, 2) if v[q - 1] > 0}
+    game = make_game(2, 2, (1, 1), (1, 2), player_specific_table(loads_table=table))
+    assert classify(game) == (True, True)
+    pnes = set(brute_force_pne(game, find_all=True).all)
+    for start in product((1, 2), repeat=2):
+        assert potential_ascent(game, start) in pnes
+
+
 def test_ascent_fixed_point(es_2x2):
     assert potential_ascent(es_2x2, (1, 1)) == (1, 1)
 
@@ -110,11 +127,10 @@ def test_ascent_step_count_bounded_by_profile_count():
         seen = [start]
         profile = start
         while True:
-            from contestq.potential import _first_improvement
-            nxt = _first_improvement(game, profile)
-            if nxt is None:
+            step = next(StabilityKernel(game).improvements(profile), None)
+            if step is None:
                 break
-            profile = nxt
+            profile = step.apply(profile)
             seen.append(profile)
             assert len(seen) <= 27 + 1
         assert len(set(seen)) == len(seen)  # strictly increasing potential

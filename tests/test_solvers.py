@@ -7,13 +7,17 @@ import pytest
 from contestq import (
     CapExceededError,
     CostFunction,
+    Deviation,
     MissingTableEntryError,
+    Policy,
     PreconditionError,
+    StabilityKernel,
     brute_force_pne,
     build,
     contigufy,
     contiguous_candidate_count,
     equal_sharing,
+    improvement_steps,
     inversions,
     is_pne,
     is_three_discrete_concave_invariant,
@@ -26,12 +30,14 @@ from contestq import (
     proportional,
     random_game,
     reduce_from_normal_form,
+    run_improvement_path,
     skill_order,
     solve_all_at_lowest,
     solve_contiguous_invariant,
     solve_contiguous_specific,
     utility,
 )
+from contestq.dynamics import _pick_move
 from contestq.payments import compositions
 
 from conftest import make_game
@@ -59,10 +65,25 @@ def test_brute_force_cap():
         brute_force_pne(build("ce1").game, cap=8)
 
 
-# --- stability kernel against the per-profile is_pne scan ------------------
+# --- the deviation kernel against a scan written from the definition -------
+
+def reference_improvements(game, profile):
+    """Every strictly improving switch, straight from `utility`."""
+    moves = []
+    for i in game.players():
+        here = utility(game, profile, i)
+        for q in game.qualities():
+            if q != profile[i - 1]:
+                moved = profile[: i - 1] + (q,) + profile[i:]
+                gain = utility(game, moved, i) - here
+                if gain > 0:
+                    moves.append(Deviation(i, q, gain))
+    return moves
+
 
 def reference_equilibria(game):
-    return [p for p in product(game.qualities(), repeat=game.n) if is_pne(game, p)]
+    return [p for p in product(game.qualities(), repeat=game.n)
+            if not reference_improvements(game, p)]
 
 
 def _small(rng, denom=4):
@@ -124,6 +145,39 @@ def test_kernel_matches_per_profile_is_pne_scan(seed):
             (first, tuple(truth), game.Q**game.n)
         hit = brute_force_pne(game)
         assert (hit.found, hit.all, hit.scanned) == (first, None, game.Q**game.n)
+
+
+@pytest.mark.parametrize("seed", range(2 * len(KERNEL_SHAPES)))
+def test_every_scan_matches_the_reference_deviations(seed):
+    games = kernel_games(seed)
+    if seed == 0:
+        games += [build("ce1").game, build("ce2", k=3).game,
+                  build("matching_pennies").game,
+                  build("fip_voluntary", n=3, Q=3).game,
+                  build("fip_mandatory", n=3, Q=3).game]
+    for game in games:
+        kernel = StabilityKernel(game)
+        rng = random.Random(seed)
+        for profile in product(game.qualities(), repeat=game.n):
+            moves = reference_improvements(game, profile)
+            verdict = is_pne(game, profile)
+            best = max(moves, key=lambda m: m.gain, default=None)  # first maximum
+            assert (verdict.holds, verdict.witness) == (not moves, best)
+            assert improvement_steps(game, profile) == moves
+            first = moves[0] if moves else None
+            reply = first and max((m for m in moves if m.player == first.player),
+                                  key=lambda m: m.gain)
+            assert _pick_move(kernel, profile, Policy.FIRST_IMPROVING, rng) == first
+            assert _pick_move(kernel, profile, Policy.BEST_RESPONSE, rng) == reply
+
+
+def test_profile_table_hole_raises_in_every_scan():
+    table = {(i, p): F(0) for i in (1, 2) for p in product((1, 2), repeat=2)}
+    del table[(1, (2, 2))]  # player 1 reads it when leaving (1, 2)
+    game = make_game(2, 2, (1, 1), (1, 2), player_specific_table(profile_table=table))
+    for scan in (is_pne, improvement_steps, run_improvement_path):
+        with pytest.raises(MissingTableEntryError):
+            scan(game, (1, 2))
 
 
 def _zero_table(form, n, Q):
@@ -349,14 +403,6 @@ def test_solver_precondition_errors():
 def test_skill_order_stable_on_ties():
     game = make_game(3, 2, (1, 2, 1), (1, 2), proportional())
     assert skill_order(game) == (2, 1, 3)
-
-
-def test_workers_give_same_answer():
-    game = random_game(3, 5, 3, "concave-specific")
-    seq = solve_contiguous_specific(game, check_concavity=False, workers=1)
-    par = solve_contiguous_specific(game, check_concavity=False, workers=3)
-    assert seq.assignment == par.assignment
-    assert seq.candidates == par.candidates
 
 
 # --- constant-time solver ---------------------------------------------------
