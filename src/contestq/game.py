@@ -22,15 +22,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import GameValidationError, MissingTableEntryError
-from .payments import (
-    PaymentFunction,
-    PaymentKind,
-    evaluate_payment,
-    load_of,
-    payment_on_loads,
-    specific_payment_on_loads,
-)
+from .errors import GameValidationError
+from .payments import PaymentFunction, evaluate_payment, load_of, payer
 
 Profile = tuple[int, ...]
 Loads = tuple[int, ...]
@@ -249,29 +242,11 @@ class StabilityKernel:
     """
 
     def __init__(self, game: ContestGame) -> None:
-        pf = game.payment
         self._Q = game.Q
         self._costs = tuple(tuple(game.cost_of(i, q) for q in game.qualities())
                             for i in game.players())
-        self._by_profile = pf.profile_table is not None
-        if pf.profile_table is not None:
-            table = pf.profile_table
-
-            def profile_payment(i: int, q: int, profile: Profile) -> Fraction:
-                try:
-                    return table[(i, profile)]
-                except KeyError:
-                    raise MissingTableEntryError(
-                        f"no payment for player {i} at profile {profile}") from None
-            self._payment = profile_payment
-        elif pf.loads_table is not None:
-            self._payment = lambda i, q, loads: specific_payment_on_loads(
-                game, i, q, loads)
-        elif pf.kind is PaymentKind.OBLIVIOUS_TABLE and pf.matrices is not None:
-            mats = pf.matrices
-            self._payment = lambda i, q, loads: mats[i - 1][q - 1][loads[q - 1] - 1]
-        else:
-            self._payment = lambda i, q, loads: payment_on_loads(game, q, loads)
+        self._by_profile = game.payment.profile_table is not None
+        self._payment = payer(game)
         self._utilities: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
         self._stays: dict[tuple[int, int, Loads], bool] = {}
 

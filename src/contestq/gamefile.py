@@ -47,8 +47,10 @@ from .payments import (
 from .rationals import format_rational, parse_rational
 
 
-def _require_keys(obj: Mapping, required: set[str], optional: set[str],
+def _require_keys(obj: object, required: set[str], optional: set[str],
                   where: str) -> None:
+    if not isinstance(obj, Mapping):
+        raise GameValidationError(f"{where}: expected an object")
     keys = set(obj)
     unknown = keys - required - optional
     if unknown:
@@ -72,6 +74,11 @@ def _list(value: object, where: str) -> list:
 
 def _int_list(value: object, where: str) -> list[int]:
     return [_int(v, where) for v in _list(value, where)]
+
+
+def _rational_rows(value: object, where: str) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(parse_rational(v) for v in _list(row, f"{where} row"))
+                 for row in _list(value, where))
 
 
 def parse_game(obj: Mapping) -> ContestGame:
@@ -101,10 +108,7 @@ def _parse_cost(obj: object) -> CostFunction:
         return CostFunction("product")
     if kind == "table":
         _require_keys(obj, {"kind", "values"}, set(), "cost")
-        values = tuple(
-            tuple(parse_rational(v) for v in row) for row in obj["values"]
-        )
-        return CostFunction("table", values)
+        return CostFunction("table", _rational_rows(obj["values"], "cost.values"))
     raise GameValidationError(f"cost kind must be product|table, got {kind!r}")
 
 
@@ -128,13 +132,13 @@ def _parse_payment(obj: object) -> PaymentFunction:
                 "oblivious payment needs exactly one of 'table' or 'tables'"
             )
         if "table" in obj:
-            return oblivious_table(matrix=_parse_matrix(obj["table"]))
-        return oblivious_table(
-            matrices=tuple(_parse_matrix(m) for m in obj["tables"]))
+            return oblivious_table(matrix=_rational_rows(obj["table"], "payment.table"))
+        return oblivious_table(matrices=tuple(
+            _rational_rows(m, "payment.tables") for m in _list(obj["tables"], "payment.tables")))
     if kind == "player_invariant":
         _require_keys(obj, {"type", "table"}, set(), "payment")
         table = {}
-        for entry in obj["table"]:
+        for entry in _list(obj["table"], "payment.table"):
             _require_keys(entry, {"q", "loads", "pay"}, set(),
                           "player_invariant entry")
             key = (_int(entry["q"], "q"), tuple(_int_list(entry["loads"], "loads")))
@@ -144,10 +148,10 @@ def _parse_payment(obj: object) -> PaymentFunction:
         return player_invariant_table(table)
     if kind == "player_specific":
         _require_keys(obj, {"type", "table"}, set(), "payment")
-        entries = list(obj["table"])
+        entries = _list(obj["table"], "payment.table")
         if not entries:
             raise GameValidationError("player_specific table is empty")
-        by_profile = "profile" in entries[0]
+        by_profile = isinstance(entries[0], Mapping) and "profile" in entries[0]
         profile_table: dict = {}
         loads_table: dict = {}
         for entry in entries:
@@ -170,12 +174,6 @@ def _parse_payment(obj: object) -> PaymentFunction:
             return player_specific_table(profile_table=profile_table)
         return player_specific_table(loads_table=loads_table)
     raise GameValidationError(f"unknown payment type {kind!r}")
-
-
-def _parse_matrix(obj: object) -> tuple[tuple[Fraction, ...], ...]:
-    if not isinstance(obj, list):
-        raise GameValidationError("matrix: expected a list of rows")
-    return tuple(tuple(parse_rational(v) for v in row) for row in obj)
 
 
 def serialize_game(game: ContestGame) -> dict:
@@ -237,10 +235,19 @@ def _serialize_payment(pf: PaymentFunction) -> dict:
     return {"type": "player_specific", "table": entries}
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        names = [key for key, _ in pairs]
+        duplicate = next(key for key in names if names.count(key) > 1)
+        raise GameValidationError(f"duplicate JSON key {duplicate!r}")
+    return obj
+
+
 def _load_object(path: Union[str, Path]) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise GameValidationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict):

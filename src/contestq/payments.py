@@ -5,6 +5,7 @@ families (proportional allocation, equal sharing per quality, K-Top)
 and three table-backed kinds (oblivious per-load tables, player-
 invariant tables keyed by own quality and load vector, player-specific
 tables keyed either by full profile or by own quality and load vector).
+`payer(game)` is the one lookup that turns any of them into a payment.
 
 Closed-form normalization constants for equal sharing and K-Top are the
 inverse of the largest achievable per-profile payout sum; a brute-force
@@ -17,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
     CapExceededError,
@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 Loads = tuple[int, ...]
 Profile = tuple[int, ...]
+Key = tuple[int, ...]  # a load vector, or a profile under profile-keyed tables
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,12 +113,14 @@ class PaymentFunction:
                 )
             if self.profile_table is not None:
                 for (i, prof) in self.profile_table:
-                    if not 1 <= i <= n or len(prof) != n:
+                    if (not 1 <= i <= n or len(prof) != n
+                            or any(not 1 <= q <= Q for q in prof)):
                         raise GameValidationError(f"bad profile-table key {(i, prof)}")
             else:
                 assert self.loads_table is not None
                 for (i, q, loads) in self.loads_table:
-                    if not 1 <= i <= n or not 1 <= q <= Q or len(loads) != Q:
+                    if (not 1 <= i <= n or not 1 <= q <= Q or len(loads) != Q
+                            or min(loads) < 0 or sum(loads) != n):
                         raise GameValidationError(f"bad loads-table key {(i, q, loads)}")
         else:
             extras = (self.matrix, self.matrices, self.invariant_table,
@@ -180,7 +183,6 @@ def load_of(profile: Profile, Q: int) -> Loads:
     return tuple(loads)
 
 
-@lru_cache(maxsize=None)
 def _top_effort_sum(efforts: tuple[Fraction, ...], eligible_from: int, n: int) -> Fraction:
     """Sum of the min(n, #eligible) largest efforts among qualities > eligible_from."""
     eligible = efforts[eligible_from:]
@@ -244,30 +246,82 @@ def compositions(n: int, Q: int):
             yield head + (tail,)
 
 
-def evaluate_payment(game: "ContestGame", profile: Profile, player: int) -> Fraction:
-    """Payment awarded to `player` (1-indexed) under `profile`."""
+def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Fraction]:
+    """The payment lookup of `game`: pay(player, quality, key).
+
+    `key` is the load vector, or the full profile under profile-keyed
+    tables, and `quality` is the player's own quality in it.  Player-
+    invariant kinds ignore `player`, which may then be None.  This is the
+    one place that turns a payment kind into a payment; the equal-sharing
+    and K-Top normalization constants are resolved once, here.  A
+    missing table entry raises MissingTableEntryError when it is read.
+    """
     pf = game.payment
     kind = pf.kind
-    own = profile[player - 1]
+    efforts = game.efforts
     if kind is PaymentKind.PROPORTIONAL:
-        total = sum((game.efforts[q - 1] for q in profile), ZERO)
-        if total == 0:
-            return ZERO  # voluntary, everyone at quality 1: defined as 0
-        return game.efforts[own - 1] / total
-    if kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
-        if pf.profile_table is not None:
+        def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
+            total = sum((m * f for m, f in zip(loads, efforts)), ZERO)
+            if total == 0:
+                return ZERO  # voluntary, everyone at quality 1: defined as 0
+            return efforts[quality - 1] / total
+    elif kind in (PaymentKind.EQUAL_SHARING, PaymentKind.KTOP):
+        c = normalization_constant(game, kind.value)
+        unpaid = 0 if pf.K is None else game.Q - pf.K  # K-Top pays the top K only
+
+        def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
+            if quality <= unpaid:
+                return ZERO
+            return c * efforts[quality - 1] / loads[quality - 1]
+    elif kind is PaymentKind.OBLIVIOUS_TABLE:
+        if pf.matrix is not None:
+            mat = pf.matrix
+
+            def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
+                return mat[quality - 1][loads[quality - 1] - 1]
+        else:
+            mats = pf.matrices
+            assert mats is not None
+
+            def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
+                return mats[player - 1][quality - 1][loads[quality - 1] - 1]
+    elif kind is PaymentKind.PLAYER_INVARIANT_TABLE:
+        inv = pf.invariant_table
+        assert inv is not None
+
+        def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
             try:
-                return pf.profile_table[(player, tuple(profile))]
+                return inv[(quality, tuple(loads))]
             except KeyError:
                 raise MissingTableEntryError(
-                    f"no payment for player {player} at profile {profile}"
-                ) from None
-        assert pf.loads_table is not None
-        return specific_payment_on_loads(game, player, own, load_of(profile, game.Q))
-    loads = load_of(profile, game.Q)
-    if kind is PaymentKind.OBLIVIOUS_TABLE and pf.matrices is not None:
-        return pf.matrices[player - 1][own - 1][loads[own - 1] - 1]
-    return payment_on_loads(game, own, loads)
+                    f"no payment for quality {quality} at loads {loads}") from None
+    elif pf.profile_table is not None:
+        by_profile = pf.profile_table
+
+        def pay(player: Optional[int], quality: int, profile: Key) -> Fraction:
+            try:
+                return by_profile[(player, tuple(profile))]
+            except KeyError:
+                raise MissingTableEntryError(
+                    f"no payment for player {player} at profile {profile}") from None
+    else:
+        by_loads = pf.loads_table
+        assert by_loads is not None
+
+        def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
+            try:
+                return by_loads[(player, quality, tuple(loads))]
+            except KeyError:
+                raise MissingTableEntryError(
+                    f"no payment for player {player}, quality {quality}, "
+                    f"loads {loads}") from None
+    return pay
+
+
+def evaluate_payment(game: "ContestGame", profile: Profile, player: int) -> Fraction:
+    """Payment awarded to `player` (1-indexed) under `profile`."""
+    key = profile if game.payment.profile_table is not None else load_of(profile, game.Q)
+    return payer(game)(player, profile[player - 1], key)
 
 
 def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fraction:
@@ -278,38 +332,15 @@ def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fractio
     (own quality, loads) alone.
     """
     pf = game.payment
-    kind = pf.kind
-    if kind is PaymentKind.PROPORTIONAL:
-        total = sum((m * f for m, f in zip(loads, game.efforts)), ZERO)
-        if total == 0:
-            return ZERO
-        return game.efforts[quality - 1] / total
-    if kind is PaymentKind.EQUAL_SHARING:
-        c = normalization_constant(game, "equal_sharing")
-        return c * game.efforts[quality - 1] / loads[quality - 1]
-    if kind is PaymentKind.KTOP:
-        assert pf.K is not None
-        if quality <= game.Q - pf.K:
-            return ZERO
-        c = normalization_constant(game, "ktop")
-        return c * game.efforts[quality - 1] / loads[quality - 1]
-    if kind is PaymentKind.OBLIVIOUS_TABLE:
-        if pf.matrix is None:
-            raise PreconditionError(
-                "per-player oblivious payments are not player-invariant"
-            )
-        return pf.matrix[quality - 1][loads[quality - 1] - 1]
-    if kind is PaymentKind.PLAYER_INVARIANT_TABLE:
-        assert pf.invariant_table is not None
-        try:
-            return pf.invariant_table[(quality, tuple(loads))]
-        except KeyError:
-            raise MissingTableEntryError(
-                f"no payment for quality {quality} at loads {loads}"
-            ) from None
-    raise PreconditionError(
-        f"{kind.value} payments are not a function of (quality, loads)"
-    )
+    if pf.matrices is not None:
+        raise PreconditionError(
+            "per-player oblivious payments are not player-invariant"
+        )
+    if pf.kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
+        raise PreconditionError(
+            f"{pf.kind.value} payments are not a function of (quality, loads)"
+        )
+    return payer(game)(None, quality, loads)
 
 
 def specific_payment_on_loads(game: "ContestGame", player: int, quality: int,
@@ -320,12 +351,7 @@ def specific_payment_on_loads(game: "ContestGame", player: int, quality: int,
         raise PreconditionError(
             "requires a player-specific table keyed by (own quality, load vector)"
         )
-    try:
-        return pf.loads_table[(player, quality, tuple(loads))]
-    except KeyError:
-        raise MissingTableEntryError(
-            f"no payment for player {player}, quality {quality}, loads {loads}"
-        ) from None
+    return payer(game)(player, quality, loads)
 
 
 def require_table_entries(game: "ContestGame") -> None:
@@ -383,9 +409,12 @@ def classify(game: "ContestGame", cap: int = 10**6) -> Classification:
     oblivious = True
     invariant = True
     seen: dict[tuple[int, int, Fraction], Fraction] = {}
+    pay = payer(game)
+    by_profile = game.payment.profile_table is not None
     for profile in product(range(1, Q + 1), repeat=n):
         loads = load_of(profile, Q)
-        pays = [evaluate_payment(game, profile, i) for i in range(1, n + 1)]
+        key = profile if by_profile else loads
+        pays = [pay(i, profile[i - 1], key) for i in range(1, n + 1)]
         for i in range(1, n + 1):
             own = profile[i - 1]
             key = (i, loads[own - 1], game.efforts[own - 1])
@@ -404,10 +433,11 @@ def payout_sum_bound_holds(game: "ContestGame", cap: int = 10**6) -> bool:
     n, Q = game.n, game.Q
     if Q**n > cap:
         raise CapExceededError("profile space above cap")
+    pay = payer(game)
+    by_profile = game.payment.profile_table is not None
     for profile in product(range(1, Q + 1), repeat=n):
-        total = sum(
-            (evaluate_payment(game, profile, i) for i in range(1, n + 1)), ZERO
-        )
+        key = profile if by_profile else load_of(profile, Q)
+        total = sum((pay(i, profile[i - 1], key) for i in range(1, n + 1)), ZERO)
         if total > 1:
             return False
     return True

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .errors import PreconditionError
 from .game import ContestGame, Profile, StabilityKernel, load_of, validate_profile
-from .payments import classify, payment_on_loads
+from .payments import classify, payer
 
 ZERO = Fraction(0)
 
@@ -33,24 +34,47 @@ def require_exact_potential(game: ContestGame, cap: int = 10**6) -> None:
 
     Declared closed-form kinds (equal sharing, K-Top, a shared oblivious
     matrix) qualify structurally; anything else is decided by the
-    exhaustive classifier.  Games outside this class may have no pure
-    Nash equilibrium at all, so no exact potential can exist for them in
-    general.
+    exhaustive classifier, and then every player must be paid alike for
+    the same (own quality, load on it).  Games outside this class may
+    have no pure Nash equilibrium at all, so no exact potential can exist
+    for them in general.
     """
     pf = game.payment
     if pf.declared_player_invariant and pf.declared_oblivious:
         return
     verdict = classify(game, cap=cap)
-    if not (verdict.oblivious and verdict.player_invariant):
-        problems = []
-        if not verdict.player_invariant:
-            problems.append("not player-invariant")
-        if not verdict.oblivious:
-            problems.append("not oblivious")
+    problems = []
+    if not verdict.player_invariant:
+        problems.append("not player-invariant")
+    if not verdict.oblivious:
+        problems.append("not oblivious")
+    if not problems and not _paid_by_quality_and_load(game):
+        problems.append("player-specific for a player alone at a quality")
+    if problems:
         raise PreconditionError(
             "exact potential requires a player-invariant and oblivious payment; "
             "this game's payment is " + " and ".join(problems)
         )
+
+
+def _paid_by_quality_and_load(game: ContestGame) -> bool:
+    """One payment per (own quality, load on it), whoever holds the quality.
+
+    The classifier compares only players who share a quality, so a
+    player alone at a quality can still have a payment of their own;
+    such a game can lack an equilibrium (matching pennies is one).
+    """
+    pay = payer(game)
+    by_profile = game.payment.profile_table is not None
+    seen: dict[tuple[int, int], Fraction] = {}
+    for profile in product(game.qualities(), repeat=game.n):
+        loads = load_of(profile, game.Q)
+        key = profile if by_profile else loads
+        for i, q in enumerate(profile, 1):
+            value = pay(i, q, key)
+            if seen.setdefault((q, loads[q - 1]), value) != value:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -64,7 +88,15 @@ class PotentialCache:
 
 
 def build_potential_cache(game: ContestGame, cap: int = 10**6) -> PotentialCache:
+    """Prefix sums of player 1's payments, one load vector per (quality, load).
+
+    Needs payments keyed by load vector: profile-keyed tables raise.
+    """
     require_exact_potential(game, cap=cap)
+    if game.payment.profile_table is not None:
+        raise PreconditionError(
+            f"{game.payment.kind.value} payments are not a function of (quality, loads)")
+    pay = payer(game)
     n, Q = game.n, game.Q
     gamma: list[tuple[Fraction, ...]] = []
     for q in range(1, Q + 1):
@@ -74,7 +106,7 @@ def build_potential_cache(game: ContestGame, cap: int = 10**6) -> PotentialCache
             loads = [0] * Q
             loads[q - 1] = m
             loads[other - 1] = n - m
-            row.append(row[-1] + payment_on_loads(game, q, tuple(loads)))
+            row.append(row[-1] + pay(1, q, tuple(loads)))
         gamma.append(tuple(row))
     return PotentialCache(gamma=tuple(gamma))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import CapExceededError, ContigufyError, PreconditionError
 from .game import (
@@ -41,10 +41,9 @@ from .game import (
 from .payments import (
     PaymentKind,
     compositions,
-    payment_on_loads,
+    payer,
     player_specific_table,
     require_table_entries,
-    specific_payment_on_loads,
 )
 
 DEFAULT_PROFILE_CAP = 10**6
@@ -106,14 +105,15 @@ class ConcavityReport:
         return self.holds
 
 
-def _concavity_scan(n: int, Q: int, players: Sequence[Optional[int]],
-                    pay: Callable[[Optional[int], int, Loads], Fraction],
-                    ) -> ConcavityReport:
+def _concavity_scan(game: ContestGame,
+                    players: Sequence[Optional[int]]) -> ConcavityReport:
     """Shared quantification for both concavity definitions.
 
-    `pay(player, quality, loads)` is the payment for holding `quality`
-    under `loads`; `player` is None in the player-invariant case.
+    Payments are read through `payer`; `players` is [None] in the
+    player-invariant case.
     """
+    n, Q = game.n, game.Q
+    pay = payer(game)
     two = Fraction(2)
     for loads in compositions(n, Q):
         occupied = [q for q in range(1, Q + 1) if loads[q - 1] >= 1]
@@ -148,12 +148,7 @@ def is_three_discrete_concave_specific(game: ContestGame) -> ConcavityReport:
             "the player-specific checker needs payments keyed by "
             "(own quality, load vector)"
         )
-
-    def pay(player: Optional[int], quality: int, loads: Loads) -> Fraction:
-        assert player is not None
-        return specific_payment_on_loads(game, player, quality, loads)
-
-    return _concavity_scan(game.n, game.Q, list(game.players()), pay)
+    return _concavity_scan(game, list(game.players()))
 
 
 def is_three_discrete_concave_invariant(game: ContestGame) -> ConcavityReport:
@@ -162,11 +157,7 @@ def is_three_discrete_concave_invariant(game: ContestGame) -> ConcavityReport:
         raise PreconditionError(
             "the player-invariant checker needs a player-invariant payment"
         )
-
-    def pay(player: Optional[int], quality: int, loads: Loads) -> Fraction:
-        return payment_on_loads(game, quality, loads)
-
-    return _concavity_scan(game.n, game.Q, [None], pay)
+    return _concavity_scan(game, [None])
 
 
 def concavity_report(game: ContestGame) -> ConcavityReport:
@@ -196,20 +187,7 @@ class ContiguousAssignment:
     """
 
     loads: Loads
-    order: tuple[int, ...]
     profile: Profile
-
-    def first_index(self, quality: int) -> int:
-        """1-based rank (in skill order) of the block's first player."""
-        return sum(self.loads[: quality - 1]) + 1
-
-    def last_index(self, quality: int) -> int:
-        return sum(self.loads[:quality])
-
-    def block(self, quality: int) -> tuple[int, ...]:
-        """The players (original numbering) assigned to `quality`."""
-        lo = self.first_index(quality) - 1
-        return self.order[lo:self.last_index(quality)]
 
 
 def contiguous_assignment(game: ContestGame, loads: Loads) -> ContiguousAssignment:
@@ -220,8 +198,7 @@ def contiguous_assignment(game: ContestGame, loads: Loads) -> ContiguousAssignme
         for _ in range(loads[q - 1]):
             choice[order[pos] - 1] = q
             pos += 1
-    return ContiguousAssignment(loads=tuple(loads), order=order,
-                                profile=tuple(choice))
+    return ContiguousAssignment(loads=tuple(loads), profile=tuple(choice))
 
 
 def inversions(game: ContestGame, profile: Profile) -> list[tuple[int, int]]:
@@ -313,21 +290,14 @@ def solve_contiguous_specific(game: ContestGame,
             raise PreconditionError(
                 f"payments are not three-discrete-concave: {report.violation}"
             )
-
-    kernel = StabilityKernel(game)
-    return _scan_candidates(
-        game, lambda loads: kernel.stable(contiguous_assignment(game, loads).profile))
+    return _scan_candidates(game)
 
 
 def solve_contiguous_invariant(game: ContestGame,
                                check_concavity: bool = True) -> SolveOutcome:
     """Search contiguous load vectors under player-invariant payments.
 
-    The payment side of the no-switch condition is shared by a whole
-    block, so it is evaluated once per (quality, target) pair; only the
-    cost side varies by player.  For product costs the binding player
-    is a block endpoint (largest skill for downward targets, smallest
-    for upward), so each check touches at most two players.
+    Candidates are vetted as in `solve_contiguous_specific`.
     """
     if not game.payment.declared_player_invariant:
         raise PreconditionError(
@@ -339,47 +309,25 @@ def solve_contiguous_invariant(game: ContestGame,
             raise PreconditionError(
                 f"payments are not three-discrete-concave: {report.violation}"
             )
-    product_cost = game.cost.kind == "product"
-
-    def candidate_ok(loads: Loads) -> bool:
-        assignment = contiguous_assignment(game, loads)
-        for q in game.qualities():
-            if loads[q - 1] == 0:
-                continue
-            pay_here = payment_on_loads(game, q, loads)
-            if product_cost:
-                block = (assignment.order[assignment.first_index(q) - 1],
-                         assignment.order[assignment.last_index(q) - 1])
-            else:
-                block = assignment.block(q)
-            for q2 in game.qualities():
-                if q2 == q:
-                    continue
-                moved = _shift(loads, q, q2)
-                pay_there = payment_on_loads(game, q2, moved)
-                drop = pay_here - pay_there
-                # need: cost(i, q2) - cost(i, q) >= -drop for the whole block
-                for i in block:
-                    if game.cost_of(i, q2) - game.cost_of(i, q) < -drop:
-                        return False
-        return True
-
-    return _scan_candidates(game, candidate_ok)
+    return _scan_candidates(game)
 
 
-def _scan_candidates(game: ContestGame,
-                     candidate_ok: Callable[[Loads], bool]) -> SolveOutcome:
-    # The outcome reports the full enumeration size C(n+Q-1, Q-1); the
-    # winning candidate is the one of minimum index.
+def _scan_candidates(game: ContestGame) -> SolveOutcome:
+    """The first contiguous profile, in colex load order, that is stable.
+
+    The outcome reports the full enumeration size C(n+Q-1, Q-1).
+    """
+    kernel = StabilityKernel(game)
     candidates = list(compositions(game.n, game.Q))
-    hit = next((loads for loads in candidates if candidate_ok(loads)), None)
+    hit = next((loads for loads in candidates
+                if kernel.stable(contiguous_assignment(game, loads).profile)), None)
     if hit is None:
         return SolveOutcome(None, len(candidates))
     assignment = contiguous_assignment(game, hit)
     verdict = is_pne(game, assignment.profile)
     if not verdict:
         raise ContigufyError(
-            f"candidate {hit} passed the block conditions but "
+            f"candidate {hit} passed the kernel check but "
             f"fails the profile check: {verdict.witness}"
         )
     return SolveOutcome(assignment, len(candidates))

@@ -228,6 +228,41 @@ def test_malformed_profile_file_is_usage_error(wow_path, tmp_path, capsys, conte
     assert err.startswith("error:")
 
 
+def _bad_game_texts():
+    """Malformed rows, entries, table keys and a duplicate key, by name."""
+    from contestq import random_game, serialize_game
+
+    def two_by_two(**fields):
+        blob = {"n": 2, "Q": 2, "skills": ["1", "1"], "efforts": ["1", "2"],
+                "participation": "mandatory", "cost": {"kind": "product"},
+                "payment": {"type": "proportional"}}
+        blob.update(fields)
+        return json.dumps(blob)
+
+    profile_keyed = serialize_game(build("matching_pennies").game)
+    profile_keyed["payment"]["table"].append({"player": 1, "profile": [1, 5], "pay": "1"})
+    loads_keyed = serialize_game(random_game(1, 2, 2, "concave-specific"))
+    loads_keyed["payment"]["table"].append({"player": 1, "q": 1, "loads": [3, -1], "pay": "0"})
+    return {
+        "string-cost-row": two_by_two(cost={"kind": "table", "values": [["1", "2"], "34"]}),
+        "string-oblivious-row": two_by_two(payment={"type": "oblivious", "table": ["12", "34"]}),
+        "specific-entry-not-object": two_by_two(payment={"type": "player_specific", "table": [1]}),
+        "invariant-entry-not-object": two_by_two(payment={"type": "player_invariant", "table": [5]}),
+        "profile-quality-out-of-range": json.dumps(profile_keyed),
+        "negative-loads": json.dumps(loads_keyed),
+        "duplicate-key": '{"efforts": ["1", "3"], ' + two_by_two()[1:],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bad_game_texts()))
+def test_rejected_game_file_is_usage_error(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(_bad_game_texts()[name])
+    code, out, err = run(capsys, "verify", "--game", str(path), "--profile", "1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_verify_table_hole_is_usage_error(tmp_path, capsys):
     from fractions import Fraction as F
     from itertools import product

@@ -135,3 +135,60 @@ def test_oblivious_needs_exactly_one_table_form():
     }
     with pytest.raises(GameValidationError):
         parse_game(blob)
+
+
+def _two_by_two(cost=None, payment=None):
+    return {
+        "n": 2, "Q": 2, "skills": ["1", "1"], "efforts": ["1", "2"],
+        "participation": "mandatory", "cost": cost or {"kind": "product"},
+        "payment": payment or {"type": "proportional"},
+    }
+
+
+@pytest.mark.parametrize("blob", [
+    # each string row would iterate as the row (3, 4)
+    _two_by_two(cost={"kind": "table", "values": [["1", "2"], "34"]}),
+    _two_by_two(payment={"type": "oblivious", "table": ["12", "34"]}),
+    _two_by_two(payment={"type": "oblivious", "tables": [[["1", "2"], ["3", "4"]],
+                                                         [["1", "2"], "34"]]}),
+    _two_by_two(payment={"type": "oblivious", "tables": "ab"}),
+    _two_by_two(cost={"kind": "table", "values": "12"}),
+])
+def test_rows_must_be_json_lists(blob):
+    with pytest.raises(GameValidationError):
+        parse_game(blob)
+
+
+@pytest.mark.parametrize("payment", [
+    {"type": "player_specific", "table": [1]},
+    {"type": "player_invariant", "table": [5]},
+    {"type": "player_specific", "table": "x"},
+    {"type": "player_invariant", "table": {"q": 1}},
+])
+def test_table_entries_must_be_json_objects(payment):
+    with pytest.raises(GameValidationError):
+        parse_game(_two_by_two(payment=payment))
+
+
+def test_profile_table_keys_need_qualities_in_range():
+    blob = serialize_game(build("matching_pennies").game)
+    assert "profile" in blob["payment"]["table"][0]
+    blob["payment"]["table"].append({"player": 1, "profile": [1, 5], "pay": "1"})
+    with pytest.raises(GameValidationError, match="bad profile-table key"):
+        parse_game(blob)
+
+
+@pytest.mark.parametrize("loads", [[3, -1], [2, 1], [1, 0]])
+def test_loads_table_keys_need_loads_summing_to_n(loads):
+    blob = serialize_game(random_game(1, 2, 2, "concave-specific"))
+    blob["payment"]["table"].append({"player": 1, "q": 1, "loads": loads, "pay": "0"})
+    with pytest.raises(GameValidationError, match="bad loads-table key"):
+        parse_game(blob)
+
+
+def test_duplicate_json_keys_rejected(tmp_path):
+    # last-wins would silently read the second efforts
+    path = tmp_path / "dup.json"
+    path.write_text('{"efforts": ["1", "3"], ' + json.dumps(_two_by_two())[1:])
+    with pytest.raises(GameValidationError, match="duplicate JSON key 'efforts'"):
+        load_game(path)

@@ -87,6 +87,56 @@ def test_ascent_needs_only_the_classifier_on_specific_tables():
         assert potential_ascent(game, start) in pnes
 
 
+def test_potential_on_a_certified_loads_keyed_specific_table():
+    from contestq import classify
+
+    game = random_game(8, 2, 2, "concave-specific")
+    assert game.payment.loads_table is not None
+    assert classify(game) == (True, True)
+    cache = build_potential_cache(game)
+    for profile in product(game.qualities(), repeat=game.n):
+        phi = potential(game, profile, cache)
+        for i, moved in deviations(game, profile):
+            assert potential(game, moved, cache) - phi == \
+                utility(game, moved, i) - utility(game, profile, i)
+
+
+def test_potential_rejects_profile_keyed_tables_ascent_walks_them():
+    from contestq import classify, player_specific_table
+
+    # one payment per (own quality, load on it), keyed by full profile
+    pay = {(1, 1): F(1, 2), (1, 2): F(1, 8), (2, 1): F(1, 4), (2, 2): F(1, 16)}
+    table = {(i, p): pay[(p[i - 1], p.count(p[i - 1]))]
+             for i in (1, 2) for p in product((1, 2), repeat=2)}
+    game = make_game(2, 2, (1, 1), (1, 2), player_specific_table(profile_table=table))
+    assert classify(game) == (True, True)
+    with pytest.raises(PreconditionError,
+                       match=r"player_specific payments are not a function of \(quality, loads\)"):
+        build_potential_cache(game)
+    pnes = set(brute_force_pne(game, find_all=True).all)
+    for start in product((1, 2), repeat=2):
+        assert potential_ascent(game, start) in pnes
+
+
+def test_exact_potential_needs_one_payment_for_players_alone_at_a_quality():
+    # shared payments when two players meet, a payment of their own when
+    # alone: the classifier certifies it, yet it is matching pennies
+    from contestq import CostFunction, classify, compositions, player_specific_table
+
+    alone = {1: F(0), 2: F(2)}
+    table = {(i, q, v): F(1) if v[q - 1] == 2 else alone[i]
+             for i in (1, 2) for q in (1, 2) for v in compositions(2, 2) if v[q - 1] > 0}
+    zero_cost = CostFunction("table", ((F(0), F(0)), (F(0), F(0))))
+    game = make_game(2, 2, (1, 1), (0, 1), player_specific_table(loads_table=table),
+                     cost=zero_cost)
+    assert classify(game) == (True, True)
+    assert brute_force_pne(game, find_all=True).all == ()
+    for call in (lambda: potential_ascent(game, (1, 1)),
+                 lambda: build_potential_cache(game)):
+        with pytest.raises(PreconditionError, match="alone at a quality"):
+            call()
+
+
 def test_ascent_fixed_point(es_2x2):
     assert potential_ascent(es_2x2, (1, 1)) == (1, 1)
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -15,6 +16,7 @@ from contestq import (
     brute_force_pne,
     build,
     contigufy,
+    contiguous_assignment,
     contiguous_candidate_count,
     equal_sharing,
     improvement_steps,
@@ -356,6 +358,42 @@ def test_oracle_equivalence_invariant(seed, n, Q):
     assert (out.assignment is None) == (brute.found is None)
     if out.assignment is not None:
         assert is_pne(game, out.assignment.profile)
+
+
+def _with_table_cost(seed, n, Q):
+    """A certified concave-invariant game re-costed by a non-decreasing table.
+
+    Every third seed writes s*f as a table; the others draw rows that
+    are not of that form.
+    """
+    base = random_game(seed, n, Q, "concave-invariant")
+    rng = random.Random(seed)
+    rows = []
+    for skill in base.skills:
+        if seed % 3 == 0:
+            rows.append(tuple(skill * f for f in base.efforts))
+            continue
+        row = [F(0) if base.efforts[0] == 0 else F(rng.randint(0, 4), 4 * n)]
+        for _ in range(Q - 1):
+            row.append(row[-1] + F(rng.randint(0, 4), 4 * n))
+        rows.append(tuple(row))
+    return replace(base, cost=CostFunction("table", tuple(rows)))
+
+
+def test_invariant_solver_on_table_costs():
+    # the first load vector in colex order whose contiguous profile is an
+    # equilibrium, or None; both outcomes occur
+    outcomes = set()
+    for seed in range(40):
+        n, Q = [(3, 2), (4, 2), (4, 3), (5, 3)][seed % 4]
+        game = _with_table_cost(seed, n, Q)
+        pnes = set(brute_force_pne(game, find_all=True).all)
+        expected = next((loads for loads in compositions(n, Q)
+                         if contiguous_assignment(game, loads).profile in pnes), None)
+        out = solve_contiguous_invariant(game, check_concavity=False)
+        assert (out.assignment.loads if out.assignment else None) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {False, True}
 
 
 def test_solver_none_agrees_with_brute_force_on_cyclic_game():
