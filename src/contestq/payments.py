@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -260,11 +261,15 @@ def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Fraction]:
     kind = pf.kind
     efforts = game.efforts
     if kind is PaymentKind.PROPORTIONAL:
+        # f_q / sum(L_a f_a) is unchanged when every effort is scaled to an integer
+        scale = lcm(*[f.denominator for f in efforts])
+        weights = tuple(f.numerator * (scale // f.denominator) for f in efforts)
+
         def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
-            total = sum((m * f for m, f in zip(loads, efforts)), ZERO)
+            total = sum(m * w for m, w in zip(loads, weights))
             if total == 0:
                 return ZERO  # voluntary, everyone at quality 1: defined as 0
-            return efforts[quality - 1] / total
+            return Fraction(weights[quality - 1], total)
     elif kind in (PaymentKind.EQUAL_SHARING, PaymentKind.KTOP):
         c = normalization_constant(game, kind.value)
         unpaid = 0 if pf.K is None else game.Q - pf.K  # K-Top pays the top K only
@@ -329,7 +334,7 @@ def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fractio
 
     Defined for every kind except the player-specific tables and
     per-player oblivious matrices, whose payments are not a function of
-    (own quality, loads) alone.
+    (own quality, loads) alone, and only where `quality` is occupied.
     """
     pf = game.payment
     if pf.matrices is not None:
@@ -340,6 +345,7 @@ def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fractio
         raise PreconditionError(
             f"{pf.kind.value} payments are not a function of (quality, loads)"
         )
+    _require_occupied(quality, loads)
     return payer(game)(None, quality, loads)
 
 
@@ -351,7 +357,14 @@ def specific_payment_on_loads(game: "ContestGame", player: int, quality: int,
         raise PreconditionError(
             "requires a player-specific table keyed by (own quality, load vector)"
         )
+    _require_occupied(quality, loads)
     return payer(game)(player, quality, loads)
+
+
+def _require_occupied(quality: int, loads: Loads) -> None:
+    """A player's own quality carries at least that player."""
+    if loads[quality - 1] < 1:
+        raise PreconditionError(f"quality {quality} is unoccupied at loads {loads}")
 
 
 def require_table_entries(game: "ContestGame") -> None:

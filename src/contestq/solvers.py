@@ -15,7 +15,10 @@ the only non-vacuous instance).  Perturbations that would drive a load
 negative are skipped.  The checkers are the ground truth gating the
 contiguous solvers and the contigufication procedure; the solvers'
 agreement with brute force on checker-certified instances is the
-module's master property.
+module's master property.  They stay exact without `Fraction` sums:
+for each (load vector, player) the payments its inequalities read are
+brought over the lcm of their own denominators, and the inequalities
+compare integers.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import CapExceededError, ContigufyError, PreconditionError
@@ -110,31 +113,51 @@ def _concavity_scan(game: ContestGame,
     """Shared quantification for both concavity definitions.
 
     Payments are read through `payer`; `players` is [None] in the
-    player-invariant case.
+    player-invariant case.  Load vectors are taken in colex order, then
+    players, then (q_i, q_k, q) as the inequalities are listed in the
+    module docstring, and the first violated inequality is reported.
+
+    Each (load vector L, player i) neighbourhood is decided on its own:
+    the payments its inequalities read, pay(i, a, L) for every occupied a
+    and pay(i, b, L - e_a + e_b) for every occupied a and b != a, are
+    read once and brought over the lcm of their denominators, and the
+    inequalities compare the resulting integers.  A load vector with one
+    occupied quality has no inequality and reads nothing.  A table hole
+    in a neighbourhood the scan reaches raises MissingTableEntryError,
+    even where an inequality of that neighbourhood read before the hole
+    would have failed; holes beyond the first violation are not read.
     """
     n, Q = game.n, game.Q
     pay = payer(game)
-    two = Fraction(2)
+    qualities = range(1, Q + 1)
     for loads in compositions(n, Q):
-        occupied = [q for q in range(1, Q + 1) if loads[q - 1] >= 1]
+        occupied = [q for q in qualities if loads[q - 1] >= 1]
+        if len(occupied) < 2:
+            continue
+        # slot (a-1)*Q + (b-1) holds pay(i, b, L - e_a + e_b); a == b is L itself
+        reads = [((a - 1) * Q + b - 1, b, loads if a == b else _shift(loads, a, b))
+                 for a in occupied for b in qualities]
         for i in players:
+            ratios = [pay(i, b, key).as_integer_ratio() for _, b, key in reads]
+            scale = lcm(*[den for _, den in ratios])
+            grid = [0] * (Q * Q)
+            for (slot, _, _), (num, den) in zip(reads, ratios):
+                grid[slot] = num * (scale // den)
             for q_i in occupied:
-                base = pay(i, q_i, loads)
+                row_i = (q_i - 1) * Q - 1
+                base = grid[row_i + q_i]
                 for q_k in occupied:
                     if q_k == q_i:
                         continue
+                    row_k = (q_k - 1) * Q - 1
                     # swap inequality: deviations into the partner's quality
-                    lhs = pay(i, q_k, _shift(loads, q_i, q_k)) \
-                        + pay(i, q_i, _shift(loads, q_k, q_i))
-                    if lhs > base + pay(i, q_k, loads):
+                    if grid[row_i + q_k] + grid[row_k + q_i] > base + grid[row_k + q_k]:
                         return ConcavityReport(False, ConcavityViolation(
                             i, loads, q_i, q_k, q_k))
-                    for q in range(1, Q + 1):
+                    for q in qualities:
                         if q == q_i or q == q_k:
                             continue
-                        lhs = pay(i, q, _shift(loads, q_k, q)) \
-                            + pay(i, q, _shift(loads, q_i, q))
-                        if lhs > two * base:
+                        if grid[row_k + q] + grid[row_i + q] > 2 * base:
                             return ConcavityReport(False, ConcavityViolation(
                                 i, loads, q_i, q_k, q))
     return ConcavityReport(True)
@@ -191,7 +214,12 @@ class ContiguousAssignment:
 
 
 def contiguous_assignment(game: ContestGame, loads: Loads) -> ContiguousAssignment:
-    order = skill_order(game)
+    return _contiguous(game, skill_order(game), loads)
+
+
+def _contiguous(game: ContestGame, order: tuple[int, ...],
+                loads: Loads) -> ContiguousAssignment:
+    """`contiguous_assignment` with the skill order already computed."""
     choice = [0] * game.n
     pos = 0
     for q in game.qualities():
@@ -318,16 +346,16 @@ def _scan_candidates(game: ContestGame) -> SolveOutcome:
     The outcome reports the full enumeration size C(n+Q-1, Q-1).
     """
     kernel = StabilityKernel(game)
+    order = skill_order(game)
     candidates = list(compositions(game.n, game.Q))
-    hit = next((loads for loads in candidates
-                if kernel.stable(contiguous_assignment(game, loads).profile)), None)
-    if hit is None:
+    assignments = (_contiguous(game, order, loads) for loads in candidates)
+    assignment = next((a for a in assignments if kernel.stable(a.profile)), None)
+    if assignment is None:
         return SolveOutcome(None, len(candidates))
-    assignment = contiguous_assignment(game, hit)
     verdict = is_pne(game, assignment.profile)
     if not verdict:
         raise ContigufyError(
-            f"candidate {hit} passed the kernel check but "
+            f"candidate {assignment.loads} passed the kernel check but "
             f"fails the profile check: {verdict.witness}"
         )
     return SolveOutcome(assignment, len(candidates))

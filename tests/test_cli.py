@@ -358,3 +358,25 @@ def test_concavity_violation_exit(tmp_path, capsys):
     code, out, _ = run(capsys, "concavity", "--game", str(path))
     assert code == 1
     assert "no" in out and "L:1,1" in out
+
+
+@pytest.mark.parametrize("form", ["invariant", "specific"])
+def test_concavity_on_a_holed_table_exits_2(tmp_path, capsys, form):
+    from fractions import Fraction as F
+    from contestq import ContestGame, CostFunction, Participation, compositions
+    from contestq import player_invariant_table, player_specific_table
+
+    shared = {(q, v): F(v[q - 1] - 1) for v in compositions(2, 3)
+              for q in (1, 2, 3) if v[q - 1] > 0}
+    del shared[(3, (1, 0, 1))]  # read by the first inequality the gate decides
+    payment = (player_invariant_table(shared) if form == "invariant" else
+               player_specific_table(loads_table={
+                   (i, q, v): pay for i in (1, 2) for (q, v), pay in shared.items()}))
+    game = ContestGame(n=2, Q=3, skills=(F(1), F(1)), efforts=(F(1), F(2), F(3)),
+                       participation=Participation.MANDATORY,
+                       cost=CostFunction("product"), payment=payment)
+    path = tmp_path / "holed.json"
+    save_game(game, path)
+    code, out, err = run(capsys, "concavity", "--game", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

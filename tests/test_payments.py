@@ -13,12 +13,19 @@ from contestq import (
     ktop,
     normalization_constant,
     normalization_constant_bruteforce,
+    oblivious_table,
     payment_on_loads,
     player_invariant_table,
+    player_specific_table,
     proportional,
     random_game,
 )
-from contestq.payments import payout_sum_bound_holds
+from contestq.errors import PreconditionError
+from contestq.payments import (
+    compositions,
+    payout_sum_bound_holds,
+    specific_payment_on_loads,
+)
 
 from conftest import make_game
 
@@ -150,3 +157,44 @@ def test_missing_table_entry_is_an_input_error():
     game = make_game(2, 2, (1, 1), (1, 2), player_invariant_table(table))
     with pytest.raises(MissingTableEntryError):
         evaluate_payment(game, (1, 2), 1)
+
+
+# every loads-keyed kind on n = Q = 2; the table kinds pay 1 alone and 1/3 together
+SHARED = {(q, v): F(1, 3) if v[q - 1] == 2 else F(1)
+          for v in compositions(2, 2) for q in (1, 2) if v[q - 1] > 0}
+LOADS_KINDS = {
+    "proportional": proportional(),
+    "equal_sharing": equal_sharing(),
+    "ktop": ktop(2),
+    "oblivious": oblivious_table(matrix=((F(1), F(1, 3)), (F(1), F(1, 3)))),
+    "player_invariant": player_invariant_table(SHARED),
+    "player_specific": player_specific_table(loads_table={
+        (i, q, v): pay for i in (1, 2) for (q, v), pay in SHARED.items()}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADS_KINDS))
+def test_payment_on_loads_rejects_an_unoccupied_own_quality(kind):
+    game = make_game(2, 2, (1, 1), (1, 2), LOADS_KINDS[kind])
+    if kind == "player_specific":
+        def read(q, loads):
+            return specific_payment_on_loads(game, 1, q, loads)
+    else:
+        def read(q, loads):
+            return payment_on_loads(game, q, loads)
+    assert read(2, (0, 2)) == evaluate_payment(game, (2, 2), 1)
+    for q, loads in ((1, (0, 2)), (2, (2, 0))):
+        with pytest.raises(PreconditionError, match="unoccupied"):
+            read(q, loads)
+
+
+@pytest.mark.parametrize("efforts", [(F(1, 3), F(2, 7), F(5, 11)), (0, F(2, 7), F(13, 17))])
+def test_proportional_payment_is_the_effort_share(efforts):
+    efforts = tuple(sorted(efforts))
+    game = make_game(4, 3, (1, 1, 1, 1), efforts, proportional())
+    for loads in compositions(4, 3):
+        total = sum(m * f for m, f in zip(loads, game.efforts))
+        for q in (1, 2, 3):
+            if loads[q - 1]:
+                share = game.efforts[q - 1] / total if total else 0
+                assert payment_on_loads(game, q, loads) == share

@@ -8,8 +8,10 @@ import pytest
 from contestq import (
     CapExceededError,
     CostFunction,
+    ConcavityReport,
     Deviation,
     MissingTableEntryError,
+    PaymentKind,
     Policy,
     PreconditionError,
     StabilityKernel,
@@ -19,6 +21,7 @@ from contestq import (
     contiguous_assignment,
     contiguous_candidate_count,
     equal_sharing,
+    evaluate_payment,
     improvement_steps,
     inversions,
     is_pne,
@@ -40,6 +43,7 @@ from contestq import (
     utility,
 )
 from contestq.dynamics import _pick_move
+from contestq.solvers import ConcavityViolation, concavity_report
 from contestq.payments import compositions
 
 from conftest import make_game
@@ -286,6 +290,118 @@ def test_specific_checker_requires_loads_form():
         is_three_discrete_concave_specific(build("matching_pennies").game)
 
 
+def reference_concavity(game):
+    """The first violated inequality, from the definition in `Fraction`s.
+
+    A payment at (player, quality, L) is read from a profile with loads L
+    that puts the player at that quality; the inequalities are walked in
+    the checkers' order (L colex, player, q_i, q_k, then the swap form
+    before the exchange form over q).
+    """
+    n, Q = game.n, game.Q
+    specific = game.payment.kind is PaymentKind.PLAYER_SPECIFIC_TABLE
+
+    def pay(player, quality, loads):
+        rest = [q for q in game.qualities()
+                for _ in range(loads[q - 1] - (q == quality))]
+        profile = tuple(rest[:player - 1] + [quality] + rest[player - 1:])
+        return evaluate_payment(game, profile, player)
+
+    def shift(loads, down, up):
+        return tuple(m - (q == down) + (q == up) for q, m in enumerate(loads, 1))
+
+    for loads in compositions(n, Q):
+        occupied = [q for q in game.qualities() if loads[q - 1] > 0]
+        for i in (game.players() if specific else [None]):
+            who = i or 1
+            for q_i in occupied:
+                for q_k in occupied:
+                    if q_k == q_i:
+                        continue
+                    swapped = pay(who, q_k, shift(loads, q_i, q_k)) \
+                        + pay(who, q_i, shift(loads, q_k, q_i))
+                    if swapped > pay(who, q_i, loads) + pay(who, q_k, loads):
+                        return ConcavityReport(False, ConcavityViolation(
+                            i, loads, q_i, q_k, q_k))
+                    for q in game.qualities():
+                        if q in (q_i, q_k):
+                            continue
+                        moved = pay(who, q, shift(loads, q_k, q)) \
+                            + pay(who, q, shift(loads, q_i, q))
+                        if moved > 2 * pay(who, q_i, loads):
+                            return ConcavityReport(False, ConcavityViolation(
+                                i, loads, q_i, q_k, q))
+    return ConcavityReport(True)
+
+
+COPRIME_EFFORTS = (F(1, 3), F(2, 7), F(5, 11), F(13, 17))  # increments
+
+
+def coprime_closed_form_games(n, Q):
+    """Closed-form payments whose efforts have pairwise coprime denominators."""
+    skills = [F(1, 2 + j % 3) for j in range(n)]
+    games = []
+    for voluntary in (False, True):
+        efforts = [F(0)] if voluntary else []
+        for step in COPRIME_EFFORTS:
+            efforts.append((efforts[-1] if efforts else 0) + step)
+        efforts = efforts[:Q]
+        for payment in (proportional(), equal_sharing(),
+                        *(ktop(K) for K in range(1, Q + 1))):
+            games.append(make_game(n, Q, skills, efforts, payment))
+    return games
+
+
+def checked_games(seed):
+    n, Q = KERNEL_SHAPES[seed % len(KERNEL_SHAPES)]
+    games = kernel_games(seed)
+    games += [random_game(seed, n + 1, q, family) for q in (2, 3, 4)
+              for family in ("concave-specific", "concave-invariant")]
+    return games + coprime_closed_form_games(n + 1, Q)
+
+
+@pytest.mark.parametrize("seed", range(2 * len(KERNEL_SHAPES)))
+def test_concavity_gate_matches_the_definition(seed):
+    verdicts = set()
+    for game in checked_games(seed):
+        pf = game.payment
+        if pf.kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
+            checkable = pf.loads_table is not None
+        else:
+            checkable = pf.declared_player_invariant
+        if not checkable:
+            with pytest.raises(PreconditionError):
+                concavity_report(game)
+            continue
+        report = concavity_report(game)
+        assert report == reference_concavity(game)
+        verdicts.add(report.holds)
+    assert verdicts == ({True} if seed == 0 else {False, True})  # seed 0 draws no violation
+
+
+def _holed_gate_games():
+    """n = 2, Q = 3: the swap inequality at L = (1, 1, 0) fails, and the
+    exchange inequality there reads the missing key (3, (1, 0, 1))."""
+    loads = list(compositions(2, 3))
+    shared = {(q, v): F(v[q - 1] - 1) for v in loads for q in (1, 2, 3) if v[q - 1] > 0}
+    del shared[(3, (1, 0, 1))]
+    per_player = {(i, q, v): pay for i in (1, 2) for (q, v), pay in shared.items()}
+    return [make_game(2, 3, (1, 1), (1, 2, 3), player_invariant_table(shared)),
+            make_game(2, 3, (1, 1), (1, 2, 3),
+                      player_specific_table(loads_table=per_player))]
+
+
+@pytest.mark.parametrize("game", _holed_gate_games(), ids=["invariant", "specific"])
+def test_concavity_gate_raises_on_a_hole_it_reads(game):
+    # the hole sits in the first neighbourhood that has an inequality, so it
+    # raises although a swap inequality read before it would already fail
+    solve = (solve_contiguous_specific if game.payment.loads_table is not None
+             else solve_contiguous_invariant)
+    for gated in (concavity_report, solve):
+        with pytest.raises(MissingTableEntryError):
+            gated(game)
+
+
 # --- contigufication --------------------------------------------------------
 
 def test_contigufy_identity_on_contiguous_pne():
@@ -441,6 +557,20 @@ def test_solver_precondition_errors():
 def test_skill_order_stable_on_ties():
     game = make_game(3, 2, (1, 2, 1), (1, 2), proportional())
     assert skill_order(game) == (2, 1, 3)
+
+
+def test_candidate_scan_sorts_players_once(monkeypatch):
+    import contestq.solvers as solvers
+
+    game = random_game(4, 6, 2, "concave-invariant")
+    before = solve_contiguous_invariant(game, check_concavity=False)
+    assert before.candidates == 7
+    calls = []
+    monkeypatch.setattr(solvers, "skill_order",
+                        lambda g: calls.append(g) or skill_order(g))
+    assert solve_contiguous_invariant(game, check_concavity=False) == before
+    assert len(calls) == 1
+    assert before.assignment == contiguous_assignment(game, before.assignment.loads)
 
 
 # --- constant-time solver ---------------------------------------------------
