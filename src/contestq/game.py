@@ -28,9 +28,6 @@ from .payments import PaymentFunction, evaluate_payment, load_of, payer
 Profile = tuple[int, ...]
 Loads = tuple[int, ...]
 
-ZERO = Fraction(0)
-
-
 class Participation(Enum):
     VOLUNTARY = "voluntary"
     MANDATORY = "mandatory"
@@ -234,20 +231,29 @@ class StabilityKernel:
     by leaving quality a depends on (i, a, L) alone.  Each utility is
     computed once per (player, quality, key) and `stable` decides each
     `stays(i, a, L)` once for every profile with loads L.  Under
-    profile-keyed tables the profile itself is the key.  Utilities are
-    exact and compared strictly; memos live in the instance, so build
-    one kernel per game for a scan, a walk or a graph.
+    profile-keyed tables the profile itself is the key.  Under declared
+    player-invariant payments each payment is read once per (quality,
+    key) and shared by every player; other payments are read once per
+    (player, quality, key).  Memos live in the instance, so build one
+    kernel per game for a scan, a walk or a graph.
+
+    Utilities are kept as unreduced integer pairs (numerator, positive
+    denominator), and u_b > u_a is decided exactly by cross-multiplying.
+    Only the gain of a strictly improving move becomes a `Fraction`.
 
     A missing table entry raises MissingTableEntryError when it is read.
     """
 
     def __init__(self, game: ContestGame) -> None:
         self._Q = game.Q
-        self._costs = tuple(tuple(game.cost_of(i, q) for q in game.qualities())
+        self._costs = tuple(tuple(game.cost_of(i, q).as_integer_ratio()
+                                  for q in game.qualities())
                             for i in game.players())
         self._by_profile = game.payment.profile_table is not None
         self._payment = payer(game)
-        self._utilities: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
+        self._shared: Optional[dict[tuple[int, tuple[int, ...]], tuple[int, int]]] = (
+            {} if game.payment.declared_player_invariant else None)
+        self._utilities: dict[tuple[int, int, tuple[int, ...]], tuple[int, int]] = {}
         self._stays: dict[tuple[int, int, Loads], bool] = {}
 
     def stable(self, profile: Profile) -> bool:
@@ -282,12 +288,12 @@ class StabilityKernel:
         `key` is the load vector, or the profile under profile-keyed
         tables; player i holds quality a in it.
         """
-        here = self._utility(i, a, key)
+        hn, hd = self._utility(i, a, key)
         for b in range(1, self._Q + 1):
             if b != a:
-                gain = self._utility(i, b, self._move(key, i, a, b)) - here
-                if gain > 0:
-                    yield b, gain
+                bn, bd = self._utility(i, b, self._move(key, i, a, b))
+                if bn * hd > hn * bd:
+                    yield b, Fraction(bn * hd - hn * bd, bd * hd)
 
     def stays(self, i: int, a: int, key: tuple[int, ...]) -> bool:
         """No switch of player i from quality a strictly gains at `key`.
@@ -295,10 +301,12 @@ class StabilityKernel:
         The same test as an empty `gains(i, a, key)`, written out because
         profile scans call it on every memo miss.
         """
-        here = self._utility(i, a, key)
+        hn, hd = self._utility(i, a, key)
         for b in range(1, self._Q + 1):
-            if b != a and self._utility(i, b, self._move(key, i, a, b)) > here:
-                return False
+            if b != a:
+                bn, bd = self._utility(i, b, self._move(key, i, a, b))
+                if bn * hd > hn * bd:
+                    return False
         return True
 
     def _move(self, key: tuple[int, ...], i: int, a: int, b: int) -> tuple[int, ...]:
@@ -306,10 +314,19 @@ class StabilityKernel:
             return key[: i - 1] + (b,) + key[i:]
         return _shift(key, a, b)
 
-    def _utility(self, i: int, q: int, key: tuple[int, ...]) -> Fraction:
+    def _utility(self, i: int, q: int, key: tuple[int, ...]) -> tuple[int, int]:
+        """Payment minus cost as (numerator, denominator > 0), unreduced."""
         memo_key = (i, q, key)
         value = self._utilities.get(memo_key)
         if value is None:
-            value = self._payment(i, q, key) - self._costs[i - 1][q - 1]
-            self._utilities[memo_key] = value
+            shared = self._shared
+            if shared is None:
+                pn, pd = self._payment(i, q, key).as_integer_ratio()
+            else:
+                pay = shared.get((q, key))
+                if pay is None:
+                    pay = shared[(q, key)] = self._payment(i, q, key).as_integer_ratio()
+                pn, pd = pay
+            cn, cd = self._costs[i - 1][q - 1]
+            value = self._utilities[memo_key] = (pn * cd - cn * pd, pd * cd)
         return value

@@ -345,7 +345,7 @@ def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fractio
         raise PreconditionError(
             f"{pf.kind.value} payments are not a function of (quality, loads)"
         )
-    _require_occupied(quality, loads)
+    _check_key(game, quality, loads)
     return payer(game)(None, quality, loads)
 
 
@@ -357,12 +357,24 @@ def specific_payment_on_loads(game: "ContestGame", player: int, quality: int,
         raise PreconditionError(
             "requires a player-specific table keyed by (own quality, load vector)"
         )
-    _require_occupied(quality, loads)
+    if not isinstance(player, int) or not 1 <= player <= game.n:
+        raise GameValidationError(f"player {player!r} outside 1..{game.n}")
+    _check_key(game, quality, loads)
     return payer(game)(player, quality, loads)
 
 
-def _require_occupied(quality: int, loads: Loads) -> None:
-    """A player's own quality carries at least that player."""
+def _check_key(game: "ContestGame", quality: int, loads: Loads) -> None:
+    """Reject a quality outside 1..Q, a load vector of the wrong length,
+    with a negative entry or not summing to n, and an unoccupied quality.
+
+    Only the public wrappers check; the payer itself trusts its keys.
+    """
+    if not isinstance(quality, int) or not 1 <= quality <= game.Q:
+        raise GameValidationError(f"quality {quality!r} outside 1..{game.Q}")
+    if len(loads) != game.Q:
+        raise GameValidationError("load vector must have one entry per quality")
+    if min(loads) < 0 or sum(loads) != game.n:
+        raise GameValidationError("loads must be non-negative and sum to n")
     if loads[quality - 1] < 1:
         raise PreconditionError(f"quality {quality} is unoccupied at loads {loads}")
 

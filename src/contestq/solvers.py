@@ -68,7 +68,10 @@ def brute_force_pne(game: ContestGame, find_all: bool = False,
     O(n) memo reads on top of at most n*Q^2*C(n+Q-1, Q-1) utility
     evaluations shared by the whole scan (see `StabilityKernel`);
     profile-keyed tables cost one evaluation per (player, profile).
-    A missing table entry raises before the scan in both modes.
+    Utilities are integer pairs compared by cross-multiplication, and a
+    player-invariant payment is read once per (quality, load vector) for
+    all players.  A missing table entry raises before the scan in both
+    modes.
     """
     count = game.Q**game.n
     if count > cap:

@@ -20,7 +20,7 @@ from contestq import (
     proportional,
     random_game,
 )
-from contestq.errors import PreconditionError
+from contestq.errors import GameValidationError, PreconditionError
 from contestq.payments import (
     compositions,
     payout_sum_bound_holds,
@@ -173,8 +173,8 @@ LOADS_KINDS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(LOADS_KINDS))
-def test_payment_on_loads_rejects_an_unoccupied_own_quality(kind):
+def _loads_reader(kind):
+    """`payment_on_loads`, or player 1's `specific_payment_on_loads`."""
     game = make_game(2, 2, (1, 1), (1, 2), LOADS_KINDS[kind])
     if kind == "player_specific":
         def read(q, loads):
@@ -182,10 +182,38 @@ def test_payment_on_loads_rejects_an_unoccupied_own_quality(kind):
     else:
         def read(q, loads):
             return payment_on_loads(game, q, loads)
+    return game, read
+
+
+@pytest.mark.parametrize("kind", sorted(LOADS_KINDS))
+def test_payment_on_loads_rejects_an_unoccupied_own_quality(kind):
+    game, read = _loads_reader(kind)
     assert read(2, (0, 2)) == evaluate_payment(game, (2, 2), 1)
     for q, loads in ((1, (0, 2)), (2, (2, 0))):
         with pytest.raises(PreconditionError, match="unoccupied"):
             read(q, loads)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADS_KINDS))
+@pytest.mark.parametrize("quality, loads", [
+    (0, (1, 1)),      # read loads[-1], quality 2's share
+    (3, (1, 1)),      # raised IndexError
+    (1, (5, 0)),      # sums to 5, not n = 2
+    (1, (3, -1)),     # a negative entry
+    (1, (2,)),        # one entry short
+    (1, (1, 1, 0)),   # one entry too many
+])
+def test_payment_on_loads_rejects_a_key_outside_the_game(kind, quality, loads):
+    _, read = _loads_reader(kind)
+    with pytest.raises(GameValidationError):
+        read(quality, loads)
+
+
+@pytest.mark.parametrize("player", [0, 3])
+def test_specific_payment_on_loads_rejects_a_player_outside_the_game(player):
+    game = make_game(2, 2, (1, 1), (1, 2), LOADS_KINDS["player_specific"])
+    with pytest.raises(GameValidationError):
+        specific_payment_on_loads(game, player, 1, (1, 1))
 
 
 @pytest.mark.parametrize("efforts", [(F(1, 3), F(2, 7), F(5, 11)), (0, F(2, 7), F(13, 17))])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -15,7 +16,9 @@ from contestq import (
     Policy,
     PreconditionError,
     StabilityKernel,
+    analyze_graph,
     brute_force_pne,
+    build_improvement_graph,
     build,
     contigufy,
     contiguous_assignment,
@@ -42,7 +45,8 @@ from contestq import (
     solve_contiguous_specific,
     utility,
 )
-from contestq.dynamics import _pick_move
+import contestq.game as game_module
+from contestq.dynamics import Edge, _pick_move, anonymous_mode_applicable
 from contestq.solvers import ConcavityViolation, concavity_report
 from contestq.payments import compositions
 
@@ -216,6 +220,119 @@ def test_missing_table_entry_raises_in_both_modes(form, hole):
     for find_all in (False, True):
         with pytest.raises(MissingTableEntryError):
             brute_force_pne(holed, find_all=find_all)
+
+
+# --- the integer kernel: exact, strict and one payment read per key --------
+
+COPRIME_SCALES = (F(7, 11), F(13, 3), F(5, 17), F(19, 2))
+
+
+def scaled_games(seed):
+    """`kernel_games(seed)` with efforts and skills scaled by coprime factors,
+    plus closed-form games with equal skills, which anonymous mode takes."""
+    s = COPRIME_SCALES[seed % len(COPRIME_SCALES)]
+    t = COPRIME_SCALES[(seed + 1) % len(COPRIME_SCALES)]
+    games = [replace(g, efforts=tuple(f * s for f in g.efforts),
+                     skills=tuple(k * t for k in g.skills))
+             for g in kernel_games(seed)]
+    n, Q = KERNEL_SHAPES[seed % len(KERNEL_SHAPES)]
+    efforts = [F(0)] if seed % 2 == 0 else []
+    for step in COPRIME_EFFORTS:
+        efforts.append((efforts[-1] if efforts else 0) + step * s)
+    for payment in (proportional(), equal_sharing(), ktop(1 + seed % Q)):
+        games.append(make_game(n, Q, [t] * n, efforts[:Q], payment))
+    return games
+
+
+# u(1, (2, 0)) = 1/2 - 0 and u(2, (1, 1)) = 3/4 - 1/4 are kept as (1, 2) and
+# (8, 16); u(1, (1, 1)) = 1/6 - 0 and u(2, (0, 2)) = 5/12 - 1/4 as (1, 6) and
+# (8, 48).  Every switch ties, so every profile is an equilibrium.
+TIE_PAY = {(1, (2, 0)): F(1, 2), (2, (1, 1)): F(3, 4),
+           (1, (1, 1)): F(1, 6), (2, (0, 2)): F(5, 12)}
+
+
+def tie_games():
+    """n = Q = 2 games in every key form where each switch is an exact tie
+    between utilities whose unreduced integer pairs differ in denominator."""
+    profiles = list(product((1, 2), repeat=2))
+    payments = (
+        player_invariant_table(TIE_PAY),
+        oblivious_table(matrix=((F(1, 6), F(1, 2)), (F(3, 4), F(5, 12)))),
+        player_specific_table(loads_table={
+            (i, q, v): pay for i in (1, 2) for (q, v), pay in TIE_PAY.items()}),
+        player_specific_table(profile_table={
+            (i, p): TIE_PAY[(p[i - 1], load_of(p, 2))] for i in (1, 2) for p in profiles}),
+    )
+    cost = CostFunction("table", ((F(0), F(1, 4)), (F(0), F(1, 4))))
+    return [make_game(2, 2, (1, 1), (1, 2), pay, cost=cost) for pay in payments]
+
+
+def reference_anonymous_edges(game, loads):
+    """The anonymous edges out of `loads`, from `utility` on one profile with
+    those loads: for each occupied a, the moves of the first player at a."""
+    profile = tuple(q for q, m in enumerate(loads, 1) for _ in range(m))
+    moves = reference_improvements(game, profile)
+    return [Edge(loads, load_of(m.apply(profile), game.Q), None, a, m.quality, m.gain)
+            for a in game.qualities() if loads[a - 1]
+            for m in moves if m.player == profile.index(a) + 1]
+
+
+def test_tie_games_are_all_ties():
+    for game in tie_games():
+        assert reference_equilibria(game) == list(product((1, 2), repeat=2))
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
+def test_integer_kernel_is_exact_and_strict(seed):
+    games = scaled_games(seed) + (tie_games() if seed == 0 else [])
+    for game in games:
+        moves = {p: reference_improvements(game, p)
+                 for p in product(game.qualities(), repeat=game.n)}
+        for p, ref in moves.items():
+            best = max(ref, key=lambda m: m.gain, default=None)
+            verdict = is_pne(game, p)
+            assert (verdict.holds, verdict.witness) == (not ref, best)
+            assert improvement_steps(game, p) == ref
+        graph = build_improvement_graph(game, mode="profile")
+        assert graph.edges == {
+            p: [Edge(p, m.apply(p), m.player, p[m.player - 1], m.quality, m.gain)
+                for m in ref] for p, ref in moves.items()}
+        sinks = [p for p, ref in moves.items() if not ref]
+        analysis = analyze_graph(game, mode="profile")
+        assert analysis.sinks == sinks
+        assert analysis.edge_count == sum(map(len, moves.values()))
+        assert brute_force_pne(game, find_all=True).all == tuple(sinks)
+        if anonymous_mode_applicable(game):
+            graph = build_improvement_graph(game, mode="anonymous")
+            assert graph.edges == {v: reference_anonymous_edges(game, v)
+                                   for v in compositions(game.n, game.Q)}
+            analysis = analyze_graph(game, mode="anonymous")
+            assert analysis.sinks == sorted(v for v, out in graph.edges.items() if not out)
+            assert analysis.edge_count == sum(map(len, graph.edges.values()))
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
+def test_brute_force_reads_each_payment_once(seed, monkeypatch):
+    """Shared payments are read once per (quality, key), others once per
+    (player, quality, key), however many players and profiles need them."""
+    reads = Counter()
+    real_payer = game_module.payer
+
+    def counting_payer(game):
+        pay = real_payer(game)
+        shared = game.payment.declared_player_invariant
+
+        def read(player, quality, key):
+            reads[(quality, key) if shared else (player, quality, key)] += 1
+            return pay(player, quality, key)
+        return read
+
+    monkeypatch.setattr(game_module, "payer", counting_payer)
+    games = kernel_games(seed) + (tie_games() if seed == 0 else [])
+    for game in games:
+        reads.clear()
+        brute_force_pne(game, find_all=True)
+        assert reads and max(reads.values()) == 1
 
 
 # --- concavity checkers ----------------------------------------------------
