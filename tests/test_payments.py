@@ -196,8 +196,8 @@ def test_payment_on_loads_rejects_an_unoccupied_own_quality(kind):
 
 @pytest.mark.parametrize("kind", sorted(LOADS_KINDS))
 @pytest.mark.parametrize("quality, loads", [
-    (0, (1, 1)),      # read loads[-1], quality 2's share
-    (3, (1, 1)),      # raised IndexError
+    (0, (1, 1)),      # quality below 1..Q; loads[-1] is quality 2's load
+    (3, (1, 1)),      # quality above 1..Q
     (1, (5, 0)),      # sums to 5, not n = 2
     (1, (3, -1)),     # a negative entry
     (1, (2,)),        # one entry short

@@ -18,8 +18,8 @@ from contestq import (
     StabilityKernel,
     analyze_graph,
     brute_force_pne,
-    build_improvement_graph,
     build,
+    build_improvement_graph,
     contigufy,
     contiguous_assignment,
     contiguous_candidate_count,
