@@ -16,7 +16,8 @@ import random as _random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
+from math import comb
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -148,9 +149,6 @@ class ImprovementGraph:
     nodes: list[Node]
     edges: dict[Node, list[Edge]] = field(default_factory=dict)
 
-    def out_edges(self, node: Node) -> list[Edge]:
-        return self.edges[node]
-
     def sinks(self) -> list[Node]:
         return [u for u in self.nodes if not self.edges[u]]
 
@@ -190,9 +188,7 @@ def _build_profile(game: ContestGame, max_nodes: int) -> ImprovementGraph:
         raise CapExceededError(
             f"profile graph has {count} nodes, above the cap {max_nodes}"
         )
-    from itertools import product as _product
-
-    nodes = [tuple(p) for p in _product(game.qualities(), repeat=game.n)]
+    nodes = [tuple(p) for p in product(game.qualities(), repeat=game.n)]
     graph = ImprovementGraph(mode="profile", nodes=nodes)
     kernel = StabilityKernel(game)
     for node in nodes:
@@ -204,8 +200,6 @@ def _build_profile(game: ContestGame, max_nodes: int) -> ImprovementGraph:
 
 
 def _build_anonymous(game: ContestGame, max_nodes: int) -> ImprovementGraph:
-    from math import comb
-
     count = comb(game.n + game.Q - 1, game.Q - 1)
     if count > max_nodes:
         raise CapExceededError(

@@ -165,13 +165,6 @@ def validate_profile(game: ContestGame, profile: Profile) -> None:
             raise GameValidationError(f"quality {q!r} outside 1..{game.Q}")
 
 
-def validate_loads(game: ContestGame, loads: Loads) -> None:
-    if len(loads) != game.Q:
-        raise GameValidationError("load vector must have one entry per quality")
-    if any(m < 0 for m in loads) or sum(loads) != game.n:
-        raise GameValidationError("loads must be non-negative and sum to n")
-
-
 def utility(game: ContestGame, profile: Profile, player: int) -> Fraction:
     """Quasi-linear utility: payment minus skill-effort cost, exact."""
     validate_profile(game, profile)

@@ -15,7 +15,7 @@ closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -51,6 +51,19 @@ class PaymentKind(Enum):
 
 Matrix = tuple[tuple[Fraction, ...], ...]  # Q rows (quality) x n cols (load)
 
+DEFAULT_PROFILE_CAP = 10**6  # most profiles any Q^n scan enumerates
+
+# the fields besides `kind` that each kind carries: exactly one of these sets
+_KIND_FIELDS = {
+    PaymentKind.PROPORTIONAL: (frozenset(),),
+    PaymentKind.EQUAL_SHARING: (frozenset(),),
+    PaymentKind.KTOP: (frozenset({"K"}),),
+    PaymentKind.OBLIVIOUS_TABLE: (frozenset({"matrix"}), frozenset({"matrices"})),
+    PaymentKind.PLAYER_INVARIANT_TABLE: (frozenset({"invariant_table"}),),
+    PaymentKind.PLAYER_SPECIFIC_TABLE: (frozenset({"profile_table"}),
+                                        frozenset({"loads_table"})),
+}
+
 
 @dataclass(frozen=True)
 class PaymentFunction:
@@ -61,7 +74,8 @@ class PaymentFunction:
     Player-invariant tables map (own quality, full load vector).
     Player-specific tables map either (player, full profile) or
     (player, own quality, load vector); the contiguous solvers require
-    the load-vector form.
+    the load-vector form.  A kind carries exactly the fields
+    `_KIND_FIELDS` lists for it, which `validate_shape` enforces.
     """
 
     kind: PaymentKind
@@ -73,68 +87,47 @@ class PaymentFunction:
     loads_table: Optional[Mapping[tuple[int, int, Loads], Fraction]] = None
 
     def validate_shape(self, n: int, Q: int) -> None:
-        kind = self.kind
-        if kind is PaymentKind.KTOP:
-            if self.K is None or not 1 <= self.K <= Q:
-                raise GameValidationError("K-Top requires K in 1..Q")
-        elif self.K is not None:
-            raise GameValidationError("K only applies to the K-Top family")
-        if kind is PaymentKind.OBLIVIOUS_TABLE:
-            if (self.matrix is None) == (self.matrices is None):
+        """Reject a field the kind does not carry, and keys or entries outside the game."""
+        present = frozenset(f.name for f in fields(self)
+                            if f.name != "kind" and getattr(self, f.name) is not None)
+        if present not in _KIND_FIELDS[self.kind]:
+            allowed = " or ".join(", ".join(sorted(names)) or "nothing"
+                                  for names in _KIND_FIELDS[self.kind])
+            raise GameValidationError(
+                f"{self.kind.value} payments take {allowed}; got "
+                f"{', '.join(sorted(present)) or 'nothing'}")
+        if self.K is not None and not 1 <= self.K <= Q:
+            raise GameValidationError("K-Top requires K in 1..Q")
+        if self.matrices is not None and len(self.matrices) != n:
+            raise GameValidationError("need one oblivious matrix per player")
+        mats = self.matrices if self.matrix is None else (self.matrix,)
+        for mat in mats or ():
+            if len(mat) != Q or any(len(row) != n for row in mat):
+                raise GameValidationError("oblivious matrices must be Q x n")
+            if any(entry < 0 for row in mat for entry in row):
+                raise GameValidationError("oblivious payments must be >= 0")
+        for (q, loads), pay in (self.invariant_table or {}).items():
+            if not 1 <= q <= Q or len(loads) != Q or sum(loads) != n:
+                raise GameValidationError(f"bad invariant-table key {(q, loads)}")
+            if loads[q - 1] < 1:
                 raise GameValidationError(
-                    "oblivious payments need exactly one of a shared matrix "
-                    "or per-player matrices"
+                    f"invariant-table key {(q, loads)}: quality unoccupied"
                 )
-            mats = (self.matrix,) if self.matrix is not None else self.matrices
-            assert mats is not None
-            if self.matrices is not None and len(self.matrices) != n:
-                raise GameValidationError("need one oblivious matrix per player")
-            for mat in mats:
-                if len(mat) != Q or any(len(row) != n for row in mat):
-                    raise GameValidationError("oblivious matrices must be Q x n")
-                if any(entry < 0 for row in mat for entry in row):
-                    raise GameValidationError("oblivious payments must be >= 0")
-        elif kind is PaymentKind.PLAYER_INVARIANT_TABLE:
-            if self.invariant_table is None:
-                raise GameValidationError("player-invariant kind requires a table")
-            for (q, loads), pay in self.invariant_table.items():
-                if not 1 <= q <= Q or len(loads) != Q or sum(loads) != n:
-                    raise GameValidationError(f"bad invariant-table key {(q, loads)}")
-                if loads[q - 1] < 1:
-                    raise GameValidationError(
-                        f"invariant-table key {(q, loads)}: quality unoccupied"
-                    )
-                if pay < 0:
-                    raise GameValidationError("invariant payments must be >= 0")
-        elif kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
-            if (self.profile_table is None) == (self.loads_table is None):
-                raise GameValidationError(
-                    "player-specific kind requires exactly one key form: "
-                    "full profiles or (own quality, load vector)"
-                )
-            if self.profile_table is not None:
-                for (i, prof) in self.profile_table:
-                    if (not 1 <= i <= n or len(prof) != n
-                            or any(not 1 <= q <= Q for q in prof)):
-                        raise GameValidationError(f"bad profile-table key {(i, prof)}")
-            else:
-                assert self.loads_table is not None
-                for (i, q, loads) in self.loads_table:
-                    if (not 1 <= i <= n or not 1 <= q <= Q or len(loads) != Q
-                            or min(loads) < 0 or sum(loads) != n):
-                        raise GameValidationError(f"bad loads-table key {(i, q, loads)}")
-        else:
-            extras = (self.matrix, self.matrices, self.invariant_table,
-                      self.profile_table, self.loads_table)
-            if any(t is not None for t in extras):
-                raise GameValidationError(f"{kind.value} payments take no tables")
+            if pay < 0:
+                raise GameValidationError("invariant payments must be >= 0")
+        for (i, prof) in self.profile_table or ():
+            if (not 1 <= i <= n or len(prof) != n
+                    or any(not 1 <= q <= Q for q in prof)):
+                raise GameValidationError(f"bad profile-table key {(i, prof)}")
+        for (i, q, loads) in self.loads_table or ():
+            if (not 1 <= i <= n or not 1 <= q <= Q or len(loads) != Q
+                    or min(loads) < 0 or sum(loads) != n):
+                raise GameValidationError(f"bad loads-table key {(i, q, loads)}")
 
     @property
     def declared_player_invariant(self) -> bool:
-        if self.kind in (PaymentKind.PROPORTIONAL, PaymentKind.EQUAL_SHARING,
-                         PaymentKind.KTOP, PaymentKind.PLAYER_INVARIANT_TABLE):
-            return True
-        return self.kind is PaymentKind.OBLIVIOUS_TABLE and self.matrix is not None
+        """Every kind but the player-specific tables and per-player matrices."""
+        return self.kind is not PaymentKind.PLAYER_SPECIFIC_TABLE and self.matrices is None
 
     @property
     def declared_oblivious(self) -> bool:
@@ -332,19 +325,10 @@ def evaluate_payment(game: "ContestGame", profile: Profile, player: int) -> Frac
 def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fraction:
     """Player-invariant payment for choosing `quality` under `loads`.
 
-    Defined for every kind except the player-specific tables and
-    per-player oblivious matrices, whose payments are not a function of
-    (own quality, loads) alone, and only where `quality` is occupied.
+    Defined where the payment is `declared_player_invariant`, and only
+    where `quality` is occupied.
     """
-    pf = game.payment
-    if pf.matrices is not None:
-        raise PreconditionError(
-            "per-player oblivious payments are not player-invariant"
-        )
-    if pf.kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
-        raise PreconditionError(
-            f"{pf.kind.value} payments are not a function of (quality, loads)"
-        )
+    _require_invariant(game, "payment_on_loads")
     _check_key(game, quality, loads)
     return payer(game)(None, quality, loads)
 
@@ -352,15 +336,27 @@ def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fractio
 def specific_payment_on_loads(game: "ContestGame", player: int, quality: int,
                               loads: Loads) -> Fraction:
     """Player-specific payment in the (own quality, load vector) key form."""
-    pf = game.payment
-    if pf.kind is not PaymentKind.PLAYER_SPECIFIC_TABLE or pf.loads_table is None:
-        raise PreconditionError(
-            "requires a player-specific table keyed by (own quality, load vector)"
-        )
+    _require_loads_keyed(game, "specific_payment_on_loads")
     if not isinstance(player, int) or not 1 <= player <= game.n:
         raise GameValidationError(f"player {player!r} outside 1..{game.n}")
     _check_key(game, quality, loads)
     return payer(game)(player, quality, loads)
+
+
+def _require_invariant(game: "ContestGame", caller: str) -> None:
+    """The one test of the player-invariant declared forms, for every caller."""
+    if not game.payment.declared_player_invariant:
+        raise PreconditionError(f"{caller} needs a player-invariant payment")
+
+
+def _require_loads_keyed(game: "ContestGame", caller: str) -> None:
+    """The one test of the (player, own quality, load vector) table form.
+
+    Validation admits a loads table under the player-specific kind only.
+    """
+    if game.payment.loads_table is None:
+        raise PreconditionError(
+            f"{caller} needs payments keyed by (player, own quality, load vector)")
 
 
 def _check_key(game: "ContestGame", quality: int, loads: Loads) -> None:
@@ -419,41 +415,44 @@ class Classification(NamedTuple):
     player_invariant: bool
 
 
-def classify(game: "ContestGame", cap: int = 10**6) -> Classification:
-    """Decide obliviousness and player-invariance by exhaustive check.
+def classify(game: "ContestGame", cap: int = DEFAULT_PROFILE_CAP) -> Classification:
+    """Decide the paper's two payment classes in one pass over every profile.
 
-    Obliviousness is extensional: payments must agree on every pair of
-    profiles giving a player the same own quality and load on it.
-    Refuses when the profile space exceeds `cap`.
+    Oblivious: each player's payment is a function of their own quality
+    q and its load L_q, so the payments at each key (i, q, L_q) agree.
+    Player-invariant: one function of (own quality, load vector) pays
+    every player, so the payments at each key (q, L) agree.  Together
+    they give one payment per (q, L_q), whoever holds q: for load
+    vectors L, L' with L_q = L'_q >= 1, any player i can hold q at
+    either, so pay(q, L) = pay_i(q, L_q) = pay(q, L').
+
+    Stops once both fail; refuses when Q^n exceeds `cap`.
     """
     n, Q = game.n, game.Q
     if Q**n > cap:
         raise CapExceededError(
             f"classify needs Q^n = {Q**n} profile checks, above the cap {cap}"
         )
-    oblivious = True
-    invariant = True
-    seen: dict[tuple[int, int, Fraction], Fraction] = {}
+    oblivious = invariant = True
+    own: dict[tuple[int, int, int], Fraction] = {}
+    shared: dict[tuple[int, Loads], Fraction] = {}
     pay = payer(game)
     by_profile = game.payment.profile_table is not None
     for profile in product(range(1, Q + 1), repeat=n):
         loads = load_of(profile, Q)
         key = profile if by_profile else loads
-        pays = [pay(i, profile[i - 1], key) for i in range(1, n + 1)]
-        for i in range(1, n + 1):
-            own = profile[i - 1]
-            key = (i, loads[own - 1], game.efforts[own - 1])
-            if seen.setdefault(key, pays[i - 1]) != pays[i - 1]:
+        for i, q in enumerate(profile, 1):
+            value = pay(i, q, key)
+            if oblivious and own.setdefault((i, q, loads[q - 1]), value) != value:
                 oblivious = False
-            for k in range(i + 1, n + 1):
-                if profile[k - 1] == own and pays[k - 1] != pays[i - 1]:
-                    invariant = False
+            if invariant and shared.setdefault((q, loads), value) != value:
+                invariant = False
         if not oblivious and not invariant:
             break
     return Classification(oblivious=oblivious, player_invariant=invariant)
 
 
-def payout_sum_bound_holds(game: "ContestGame", cap: int = 10**6) -> bool:
+def payout_sum_bound_holds(game: "ContestGame", cap: int = DEFAULT_PROFILE_CAP) -> bool:
     """Exhaustively check the normalization condition: payouts sum to <= 1."""
     n, Q = game.n, game.Q
     if Q**n > cap:

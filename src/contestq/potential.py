@@ -19,25 +19,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .errors import PreconditionError
 from .game import ContestGame, Profile, StabilityKernel, load_of, validate_profile
-from .payments import classify, payer
+from .payments import DEFAULT_PROFILE_CAP, classify, payer
 
 ZERO = Fraction(0)
 
 
-def require_exact_potential(game: ContestGame, cap: int = 10**6) -> None:
+def require_exact_potential(game: ContestGame, cap: int = DEFAULT_PROFILE_CAP) -> None:
     """Check that the game's payment is player-invariant and oblivious.
 
     Declared closed-form kinds (equal sharing, K-Top, a shared oblivious
-    matrix) qualify structurally; anything else is decided by the
-    exhaustive classifier, and then every player must be paid alike for
-    the same (own quality, load on it).  Games outside this class may
-    have no pure Nash equilibrium at all, so no exact potential can exist
-    for them in general.
+    matrix) qualify structurally; anything else is decided by `classify`,
+    and its two classes together give one payment per (own quality, load
+    on it) for every player.  Games outside this class may have no pure
+    Nash equilibrium at all, so no exact potential can exist for them in
+    general.
     """
     pf = game.payment
     if pf.declared_player_invariant and pf.declared_oblivious:
@@ -48,33 +47,11 @@ def require_exact_potential(game: ContestGame, cap: int = 10**6) -> None:
         problems.append("not player-invariant")
     if not verdict.oblivious:
         problems.append("not oblivious")
-    if not problems and not _paid_by_quality_and_load(game):
-        problems.append("player-specific for a player alone at a quality")
     if problems:
         raise PreconditionError(
             "exact potential requires a player-invariant and oblivious payment; "
             "this game's payment is " + " and ".join(problems)
         )
-
-
-def _paid_by_quality_and_load(game: ContestGame) -> bool:
-    """One payment per (own quality, load on it), whoever holds the quality.
-
-    The classifier compares only players who share a quality, so a
-    player alone at a quality can still have a payment of their own;
-    such a game can lack an equilibrium (matching pennies is one).
-    """
-    pay = payer(game)
-    by_profile = game.payment.profile_table is not None
-    seen: dict[tuple[int, int], Fraction] = {}
-    for profile in product(game.qualities(), repeat=game.n):
-        loads = load_of(profile, game.Q)
-        key = profile if by_profile else loads
-        for i, q in enumerate(profile, 1):
-            value = pay(i, q, key)
-            if seen.setdefault((q, loads[q - 1]), value) != value:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -87,7 +64,8 @@ class PotentialCache:
         return self.gamma[quality - 1][load]
 
 
-def build_potential_cache(game: ContestGame, cap: int = 10**6) -> PotentialCache:
+def build_potential_cache(game: ContestGame,
+                          cap: int = DEFAULT_PROFILE_CAP) -> PotentialCache:
     """Prefix sums of player 1's payments, one load vector per (quality, load).
 
     Needs payments keyed by load vector: profile-keyed tables raise.

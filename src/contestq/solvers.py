@@ -18,7 +18,8 @@ agreement with brute force on checker-certified instances is the
 module's master property.  They stay exact without `Fraction` sums:
 for each (load vector, player) the payments its inequalities read are
 brought over the lcm of their own denominators, and the inequalities
-compare integers.
+compare integers.  The payment form a checker or solver accepts is
+tested in `payments`.
 """
 
 from __future__ import annotations
@@ -42,14 +43,15 @@ from .game import (
     load_of,
 )
 from .payments import (
+    DEFAULT_PROFILE_CAP,
     PaymentKind,
+    _require_invariant,
+    _require_loads_keyed,
     compositions,
     payer,
     player_specific_table,
     require_table_entries,
 )
-
-DEFAULT_PROFILE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -168,21 +170,13 @@ def _concavity_scan(game: ContestGame,
 
 def is_three_discrete_concave_specific(game: ContestGame) -> ConcavityReport:
     """Concavity check for player-specific payments on load vectors."""
-    pf = game.payment
-    if pf.kind is not PaymentKind.PLAYER_SPECIFIC_TABLE or pf.loads_table is None:
-        raise PreconditionError(
-            "the player-specific checker needs payments keyed by "
-            "(own quality, load vector)"
-        )
+    _require_loads_keyed(game, "the player-specific checker")
     return _concavity_scan(game, list(game.players()))
 
 
 def is_three_discrete_concave_invariant(game: ContestGame) -> ConcavityReport:
     """Concavity check for player-invariant payments."""
-    if not game.payment.declared_player_invariant:
-        raise PreconditionError(
-            "the player-invariant checker needs a player-invariant payment"
-        )
+    _require_invariant(game, "the player-invariant checker")
     return _concavity_scan(game, [None])
 
 
@@ -191,6 +185,13 @@ def concavity_report(game: ContestGame) -> ConcavityReport:
     if game.payment.kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
         return is_three_discrete_concave_specific(game)
     return is_three_discrete_concave_invariant(game)
+
+
+def _require_concave(report: ConcavityReport) -> None:
+    if not report:
+        raise PreconditionError(
+            f"payments are not three-discrete-concave: {report.violation}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +256,7 @@ def contigufy(game: ContestGame, pne: Profile, check_concavity: bool = True) -> 
     if not verdict:
         raise PreconditionError(f"contigufy needs an equilibrium; got {verdict.witness}")
     if check_concavity:
-        report = concavity_report(game)
-        if not report:
-            raise PreconditionError(
-                f"payments are not three-discrete-concave: {report.violation}"
-            )
+        _require_concave(concavity_report(game))
     order = skill_order(game)
     profile = list(pne)
     for _ in range(game.n * game.n + 1):
@@ -307,20 +304,13 @@ def solve_contiguous_specific(game: ContestGame,
 
     Every candidate is vetted by the full no-switch condition: no
     player gains by any switch (`StabilityKernel.stable`).  The first
-    satisfying candidate in colexicographic order wins.
+    satisfying candidate in colexicographic order wins.  The payment
+    form is checked by the concavity checker, or without it directly.
     """
-    pf = game.payment
-    if pf.kind is not PaymentKind.PLAYER_SPECIFIC_TABLE or pf.loads_table is None:
-        raise PreconditionError(
-            "the player-specific solver needs payments keyed by "
-            "(own quality, load vector)"
-        )
     if check_concavity:
-        report = is_three_discrete_concave_specific(game)
-        if not report:
-            raise PreconditionError(
-                f"payments are not three-discrete-concave: {report.violation}"
-            )
+        _require_concave(is_three_discrete_concave_specific(game))
+    else:
+        _require_loads_keyed(game, "the player-specific solver")
     return _scan_candidates(game)
 
 
@@ -328,18 +318,13 @@ def solve_contiguous_invariant(game: ContestGame,
                                check_concavity: bool = True) -> SolveOutcome:
     """Search contiguous load vectors under player-invariant payments.
 
-    Candidates are vetted as in `solve_contiguous_specific`.
+    Candidates and the payment form are vetted as in
+    `solve_contiguous_specific`.
     """
-    if not game.payment.declared_player_invariant:
-        raise PreconditionError(
-            "the player-invariant solver needs a player-invariant payment"
-        )
     if check_concavity:
-        report = is_three_discrete_concave_invariant(game)
-        if not report:
-            raise PreconditionError(
-                f"payments are not three-discrete-concave: {report.violation}"
-            )
+        _require_concave(is_three_discrete_concave_invariant(game))
+    else:
+        _require_invariant(game, "the player-invariant solver")
     return _scan_candidates(game)
 
 

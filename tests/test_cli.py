@@ -5,6 +5,8 @@ import pytest
 from contestq import build, save_game
 from contestq.cli import main
 
+from conftest import alone_at_a_quality_game
+
 
 @pytest.fixture
 def ce1_path(tmp_path):
@@ -183,6 +185,16 @@ def test_classify_command(tmp_path, capsys):
     assert code == 0
     assert "oblivious: no" in out
     assert "player-invariant: yes" in out
+
+
+def test_a_payment_of_their_own_for_a_player_alone(tmp_path, capsys):
+    path = tmp_path / "alone.json"
+    save_game(alone_at_a_quality_game(), path)
+    code, out, _ = run(capsys, "classify", "--game", str(path))
+    assert (code, out) == (0, "oblivious: yes\nplayer-invariant: no\n")
+    code, out, err = run(capsys, "solve", "--game", str(path), "--method", "potential")
+    assert code == 2 and out == ""
+    assert "not player-invariant" in err
 
 
 def test_missing_game_file_is_usage_error(capsys):

@@ -1,3 +1,6 @@
+import random
+from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -23,11 +26,12 @@ from contestq import (
 from contestq.errors import GameValidationError, PreconditionError
 from contestq.payments import (
     compositions,
+    load_of,
     payout_sum_bound_holds,
     specific_payment_on_loads,
 )
 
-from conftest import make_game
+from conftest import alone_at_a_quality_game, make_game
 
 
 def test_proportional_symmetric_profile(prop_2x2):
@@ -226,3 +230,113 @@ def test_proportional_payment_is_the_effort_share(efforts):
             if loads[q - 1]:
                 share = game.efforts[q - 1] / total if total else 0
                 assert payment_on_loads(game, q, loads) == share
+
+
+# --- payment classes ---------------------------------------------------------
+
+def _reference_classes(game):
+    """(oblivious, player-invariant) read off the definitions: every
+    player's payment is one function of (player, own quality, load on
+    it), and one function of (own quality, load vector) for all players."""
+    by_own, by_loads = defaultdict(set), defaultdict(set)
+    for profile in product(game.qualities(), repeat=game.n):
+        loads = load_of(profile, game.Q)
+        for i, q in enumerate(profile, 1):
+            pay = evaluate_payment(game, profile, i)
+            by_own[(i, q, loads[q - 1])].add(pay)
+            by_loads[(q, loads)].add(pay)
+    return (all(len(pays) == 1 for pays in by_own.values()),
+            all(len(pays) == 1 for pays in by_loads.values()))
+
+
+# how a drawn table's payment depends on (player, own quality, loads, profile)
+PAYMENT_SHAPES = {
+    "quality-load": lambda i, q, v, p: (q, v[q - 1]),
+    "quality-loads": lambda i, q, v, p: (q, v),
+    "player-quality-load": lambda i, q, v, p: (i, q, v[q - 1]),
+    "player-quality-loads": lambda i, q, v, p: (i, q, v),
+    "player-profile": lambda i, q, v, p: (i, p),
+}
+
+
+def _seeded_payment(rng, n, Q, kind, shape):
+    """A payment of `kind`; tables draw from {0, 1/2, 1} by `shape`."""
+    drawn = defaultdict(lambda: F(rng.randint(0, 2), 2))
+    at = PAYMENT_SHAPES[shape]
+    if kind == "proportional":
+        return proportional()
+    if kind == "equal_sharing":
+        return equal_sharing()
+    if kind == "ktop":
+        return ktop(rng.randint(1, Q))
+    if kind == "oblivious":  # (m,) * Q: the load on any own quality is m
+        mats = tuple(tuple(tuple(drawn[at(i, q, (m,) * Q, None)] for m in range(1, n + 1))
+                           for q in range(1, Q + 1)) for i in range(1, n + 1))
+        return oblivious_table(matrix=mats[0]) if rng.random() < 0.5 else \
+            oblivious_table(matrices=mats)
+    profiles = list(product(range(1, Q + 1), repeat=n))
+    if kind == "player_invariant":
+        return player_invariant_table({
+            (q, load_of(p, Q)): drawn[at(None, q, load_of(p, Q), p)]
+            for p in profiles for q in set(p)})
+    if kind == "profile":
+        return player_specific_table(profile_table={
+            (i, p): drawn[at(i, p[i - 1], load_of(p, Q), p)]
+            for p in profiles for i in range(1, n + 1)})
+    return player_specific_table(loads_table={
+        (i, p[i - 1], load_of(p, Q)): drawn[at(i, p[i - 1], load_of(p, Q), p)]
+        for p in profiles for i in range(1, n + 1)})
+
+
+CLASS_CASES = [
+    ("proportional", "quality-load"), ("equal_sharing", "quality-load"),
+    ("ktop", "quality-load"),
+    ("oblivious", "quality-load"), ("oblivious", "player-quality-load"),
+    ("player_invariant", "quality-load"), ("player_invariant", "quality-loads"),
+] + [(form, shape) for form in ("loads", "profile") for shape in PAYMENT_SHAPES
+     if (form, shape) != ("loads", "player-profile")]
+
+
+@pytest.mark.parametrize("kind,shape", CLASS_CASES)
+def test_classify_agrees_with_the_definitions(kind, shape):
+    seen = set()
+    for seed in range(12):
+        rng = random.Random(f"{kind}/{shape}/{seed}")
+        n, Q = rng.randint(2, 4), rng.randint(2, 3)
+        first = rng.randint(0, 1)  # voluntary or mandatory
+        efforts = tuple(range(first, first + Q))
+        payment = _seeded_payment(rng, n, Q, kind, shape)
+        game = make_game(n, Q, (1,) * n, efforts, payment)
+        verdict = classify(game)
+        assert verdict == _reference_classes(game), (kind, shape, seed)
+        seen.add(tuple(verdict))
+    if shape == "player-quality-loads":
+        assert (False, False) in seen
+
+
+def test_classify_a_payment_of_their_own_for_a_player_alone():
+    game = alone_at_a_quality_game()
+    assert _reference_classes(game) == (True, False)
+    assert classify(game) == (True, False)
+
+
+STRAY_FIELDS = {
+    "K": 1,
+    "matrix": ((F(1), F(1, 3)), (F(1), F(1, 3))),
+    "matrices": (((F(1), F(1, 3)), (F(1), F(1, 3))),) * 2,
+    "invariant_table": SHARED,
+    "profile_table": {(i, p): F(1) for i in (1, 2) for p in product((1, 2), repeat=2)},
+    "loads_table": LOADS_KINDS["player_specific"].loads_table,
+}
+
+
+@pytest.mark.parametrize("kind,field", [
+    (kind, field) for kind in sorted(LOADS_KINDS) for field in sorted(STRAY_FIELDS)
+    if getattr(LOADS_KINDS[kind], field) is None])
+def test_every_kind_rejects_a_field_it_does_not_carry(kind, field):
+    # evaluate_payment keys by profile whenever a profile table is present:
+    # with a stray one, an oblivious matrix [[1, 1/3], ...] would pay the
+    # load-1 entry 1 at (1, 1) where the load-2 entry 1/3 is due
+    stray = replace(LOADS_KINDS[kind], **{field: STRAY_FIELDS[field]})
+    with pytest.raises(GameValidationError):
+        make_game(2, 2, (1, 1), (1, 2), stray)

@@ -120,7 +120,7 @@ def test_potential_rejects_profile_keyed_tables_ascent_walks_them():
 
 def test_exact_potential_needs_one_payment_for_players_alone_at_a_quality():
     # shared payments when two players meet, a payment of their own when
-    # alone: the classifier certifies it, yet it is matching pennies
+    # alone: oblivious, but not player-invariant, and it is matching pennies
     from contestq import CostFunction, classify, compositions, player_specific_table
 
     alone = {1: F(0), 2: F(2)}
@@ -129,11 +129,11 @@ def test_exact_potential_needs_one_payment_for_players_alone_at_a_quality():
     zero_cost = CostFunction("table", ((F(0), F(0)), (F(0), F(0))))
     game = make_game(2, 2, (1, 1), (0, 1), player_specific_table(loads_table=table),
                      cost=zero_cost)
-    assert classify(game) == (True, True)
+    assert classify(game) == (True, False)
     assert brute_force_pne(game, find_all=True).all == ()
     for call in (lambda: potential_ascent(game, (1, 1)),
                  lambda: build_potential_cache(game)):
-        with pytest.raises(PreconditionError, match="alone at a quality"):
+        with pytest.raises(PreconditionError, match="not player-invariant"):
             call()
 
 
