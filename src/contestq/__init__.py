@@ -5,7 +5,6 @@ from .errors import (
     ContestError,
     ContigufyError,
     GameValidationError,
-    MissingTableEntryError,
     PreconditionError,
 )
 from .game import (

@@ -40,6 +40,7 @@ from .solvers import (
     DEFAULT_PROFILE_CAP,
     brute_force_pne,
     concavity_report,
+    contiguous_assignment,
     is_three_discrete_concave_invariant,
     is_three_discrete_concave_specific,
     solve_all_at_lowest,
@@ -75,8 +76,6 @@ def parse_state(game: ContestGame, text: str) -> Profile:
     right).
     """
     if text.startswith("L:"):
-        from .solvers import contiguous_assignment
-
         loads = parse_profile(text[2:])
         if len(loads) != game.Q or sum(loads) != game.n or min(loads) < 0:
             raise ContestError(
@@ -145,7 +144,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         found = solve_all_at_lowest(game)
         candidates = 1
     elif method == "potential":
-        found = potential_ascent(game, (1,) * game.n)
+        found = potential_ascent(game, (1,) * game.n, cap=cap)
         candidates = 1
     else:  # pragma: no cover - argparse choices guard this
         raise ContestError(f"unknown method {method!r}")

@@ -63,10 +63,10 @@ _POLICY_ALIASES = {
 def parse_policy(name: Union[str, Policy]) -> Policy:
     if isinstance(name, Policy):
         return name
-    try:
-        return _POLICY_ALIASES[name]
-    except KeyError:
-        raise PreconditionError(f"unknown policy {name!r}") from None
+    policy = _POLICY_ALIASES.get(name)
+    if policy is None:
+        raise PreconditionError(f"unknown policy {name!r}")
+    return policy
 
 
 class PathStatus(Enum):

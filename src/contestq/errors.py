@@ -19,9 +19,5 @@ class CapExceededError(ContestError, RuntimeError):
     """An exhaustive operation would exceed its configured state-space cap."""
 
 
-class MissingTableEntryError(ContestError, KeyError):
-    """A table-backed payment has no entry for the requested configuration."""
-
-
 class ContigufyError(ContestError, RuntimeError):
     """The inversion-swap procedure failed to preserve equilibrium."""

@@ -23,7 +23,13 @@ from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import GameValidationError
-from .payments import PaymentFunction, evaluate_payment, load_of, payer
+from .payments import (
+    PaymentFunction,
+    evaluate_payment,
+    load_of,
+    payer,
+    validate_profile,
+)
 
 Profile = tuple[int, ...]
 Loads = tuple[int, ...]
@@ -155,22 +161,9 @@ class ContestGame:
         return range(1, self.n + 1)
 
 
-def validate_profile(game: ContestGame, profile: Profile) -> None:
-    if len(profile) != game.n:
-        raise GameValidationError(
-            f"profile has {len(profile)} entries for an {game.n}-player game"
-        )
-    for q in profile:
-        if not isinstance(q, int) or not 1 <= q <= game.Q:
-            raise GameValidationError(f"quality {q!r} outside 1..{game.Q}")
-
-
 def utility(game: ContestGame, profile: Profile, player: int) -> Fraction:
     """Quasi-linear utility: payment minus skill-effort cost, exact."""
-    validate_profile(game, profile)
-    if not 1 <= player <= game.n:
-        raise GameValidationError(f"player {player} outside 1..{game.n}")
-    pay = evaluate_payment(game, profile, player)
+    pay = evaluate_payment(game, profile, player)  # checks profile and player
     return pay - game.cost_of(player, profile[player - 1])
 
 
@@ -233,8 +226,7 @@ class StabilityKernel:
     Utilities are kept as unreduced integer pairs (numerator, positive
     denominator), and u_b > u_a is decided exactly by cross-multiplying.
     Only the gain of a strictly improving move becomes a `Fraction`.
-
-    A missing table entry raises MissingTableEntryError when it is read.
+    Payment tables are complete, so no scan meets a missing entry.
     """
 
     def __init__(self, game: ContestGame) -> None:

@@ -20,9 +20,9 @@ A game file is a single JSON object::
                | {"type": "player_specific",
                   "table": [{"player": 1, "q": 1, "loads": [2,0], "pay": "1"}, ...]}
 
-Rationals are "p/q" strings or JSON integers; floats and unknown keys
-are rejected.  Parsing is strict so that a file accepted here is a
-faithful, exact description of one game.
+Rationals are "p/q" strings or JSON integers; floats, unknown keys and
+tables that miss an entry are rejected.  Parsing is strict so that a
+file accepted here is a faithful, exact description of one game.
 """
 
 from __future__ import annotations
@@ -149,9 +149,7 @@ def _parse_payment(obj: object) -> PaymentFunction:
     if kind == "player_specific":
         _require_keys(obj, {"type", "table"}, set(), "payment")
         entries = _list(obj["table"], "payment.table")
-        if not entries:
-            raise GameValidationError("player_specific table is empty")
-        by_profile = isinstance(entries[0], Mapping) and "profile" in entries[0]
+        by_profile = entries and isinstance(entries[0], Mapping) and "profile" in entries[0]
         profile_table: dict = {}
         loads_table: dict = {}
         for entry in entries:

@@ -19,15 +19,10 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import comb, lcm
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
-from .errors import (
-    CapExceededError,
-    GameValidationError,
-    MissingTableEntryError,
-    PreconditionError,
-)
+from .errors import CapExceededError, GameValidationError, PreconditionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .game import ContestGame
@@ -107,7 +102,8 @@ class PaymentFunction:
             if any(entry < 0 for row in mat for entry in row):
                 raise GameValidationError("oblivious payments must be >= 0")
         for (q, loads), pay in (self.invariant_table or {}).items():
-            if not 1 <= q <= Q or len(loads) != Q or sum(loads) != n:
+            if (not 1 <= q <= Q or len(loads) != Q or min(loads) < 0
+                    or sum(loads) != n):
                 raise GameValidationError(f"bad invariant-table key {(q, loads)}")
             if loads[q - 1] < 1:
                 raise GameValidationError(
@@ -119,10 +115,28 @@ class PaymentFunction:
             if (not 1 <= i <= n or len(prof) != n
                     or any(not 1 <= q <= Q for q in prof)):
                 raise GameValidationError(f"bad profile-table key {(i, prof)}")
+        held = 0  # loads-table keys at an occupied quality
         for (i, q, loads) in self.loads_table or ():
             if (not 1 <= i <= n or not 1 <= q <= Q or len(loads) != Q
                     or min(loads) < 0 or sum(loads) != n):
                 raise GameValidationError(f"bad loads-table key {(i, q, loads)}")
+            held += loads[q - 1] >= 1
+        # keys are distinct and in range, so a table is complete exactly when it
+        # holds as many keys as the game has entries; a loads-table key at an
+        # unoccupied quality is legal but names no entry
+        occupied = Q * comb(n + Q - 2, Q - 1)  # the (q, L) with L_q >= 1
+        if self.invariant_table is not None:
+            held, need = len(self.invariant_table), occupied
+        elif self.profile_table is not None:
+            held, need = len(self.profile_table), n * Q**n
+        elif self.loads_table is not None:
+            need = n * occupied
+        else:
+            return
+        if held != need:
+            raise GameValidationError(
+                f"{self.kind.value} table is incomplete: it has {held} of the "
+                f"{need} entries a {n}-player, {Q}-quality game needs")
 
     @property
     def declared_player_invariant(self) -> bool:
@@ -247,8 +261,9 @@ def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Fraction]:
     tables, and `quality` is the player's own quality in it.  Player-
     invariant kinds ignore `player`, which may then be None.  This is the
     one place that turns a payment kind into a payment; the equal-sharing
-    and K-Top normalization constants are resolved once, here.  A
-    missing table entry raises MissingTableEntryError when it is read.
+    and K-Top normalization constants are resolved once, here.  Tables
+    are complete (`PaymentFunction.validate_shape`), so every key inside
+    the game is a plain lookup; the payer trusts its keys.
     """
     pf = game.payment
     kind = pf.kind
@@ -288,36 +303,36 @@ def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Fraction]:
         assert inv is not None
 
         def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
-            try:
-                return inv[(quality, tuple(loads))]
-            except KeyError:
-                raise MissingTableEntryError(
-                    f"no payment for quality {quality} at loads {loads}") from None
+            return inv[(quality, tuple(loads))]
     elif pf.profile_table is not None:
         by_profile = pf.profile_table
 
         def pay(player: Optional[int], quality: int, profile: Key) -> Fraction:
-            try:
-                return by_profile[(player, tuple(profile))]
-            except KeyError:
-                raise MissingTableEntryError(
-                    f"no payment for player {player} at profile {profile}") from None
+            return by_profile[(player, tuple(profile))]
     else:
         by_loads = pf.loads_table
         assert by_loads is not None
 
         def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
-            try:
-                return by_loads[(player, quality, tuple(loads))]
-            except KeyError:
-                raise MissingTableEntryError(
-                    f"no payment for player {player}, quality {quality}, "
-                    f"loads {loads}") from None
+            return by_loads[(player, quality, tuple(loads))]
     return pay
+
+
+def validate_profile(game: "ContestGame", profile: Profile) -> None:
+    if len(profile) != game.n:
+        raise GameValidationError(
+            f"profile has {len(profile)} entries for an {game.n}-player game"
+        )
+    for q in profile:
+        if not isinstance(q, int) or not 1 <= q <= game.Q:
+            raise GameValidationError(f"quality {q!r} outside 1..{game.Q}")
 
 
 def evaluate_payment(game: "ContestGame", profile: Profile, player: int) -> Fraction:
     """Payment awarded to `player` (1-indexed) under `profile`."""
+    validate_profile(game, profile)
+    if not isinstance(player, int) or not 1 <= player <= game.n:
+        raise GameValidationError(f"player {player!r} outside 1..{game.n}")
     key = profile if game.payment.profile_table is not None else load_of(profile, game.Q)
     return payer(game)(player, profile[player - 1], key)
 
@@ -373,41 +388,6 @@ def _check_key(game: "ContestGame", quality: int, loads: Loads) -> None:
         raise GameValidationError("loads must be non-negative and sum to n")
     if loads[quality - 1] < 1:
         raise PreconditionError(f"quality {quality} is unoccupied at loads {loads}")
-
-
-def require_table_entries(game: "ContestGame") -> None:
-    """Raise MissingTableEntryError unless a full profile scan finds every key.
-
-    Membership only: every (player, profile) of a profile-keyed table,
-    every (player, quality, loads) and every (quality, loads) with the
-    quality occupied.  Closed-form kinds and oblivious matrices, whose
-    shape is validated at construction, pass trivially.
-    """
-    pf = game.payment
-    n, Q = game.n, game.Q
-    if pf.profile_table is not None:
-        for profile in product(range(1, Q + 1), repeat=n):
-            for player in range(1, n + 1):
-                if (player, profile) not in pf.profile_table:
-                    raise MissingTableEntryError(
-                        f"no payment for player {player} at profile {profile}")
-        return
-    if pf.loads_table is None and pf.invariant_table is None:
-        return
-    for loads in compositions(n, Q):
-        for quality in range(1, Q + 1):
-            if loads[quality - 1] == 0:
-                continue
-            if pf.invariant_table is not None:
-                if (quality, loads) not in pf.invariant_table:
-                    raise MissingTableEntryError(
-                        f"no payment for quality {quality} at loads {loads}")
-                continue
-            for player in range(1, n + 1):
-                if (player, quality, loads) not in pf.loads_table:
-                    raise MissingTableEntryError(
-                        f"no payment for player {player}, quality {quality}, "
-                        f"loads {loads}")
 
 
 class Classification(NamedTuple):

@@ -104,15 +104,17 @@ def potential(game: ContestGame, profile: Profile,
     return total
 
 
-def potential_ascent(game: ContestGame, start: Profile) -> Profile:
+def potential_ascent(game: ContestGame, start: Profile,
+                     cap: int = DEFAULT_PROFILE_CAP) -> Profile:
     """Follow first-improving deviations until no player can gain.
 
     Deviations are scanned players-in-index-order, target qualities
     ascending; each step strictly increases the potential, so the walk
     stops within the number of profiles.  The fixed point is a pure
-    Nash equilibrium by construction.
+    Nash equilibrium by construction.  `cap` bounds the profile scan of
+    `require_exact_potential`.
     """
-    require_exact_potential(game)
+    require_exact_potential(game, cap=cap)
     validate_profile(game, start)
     kernel = StabilityKernel(game)
     profile = tuple(start)

@@ -50,7 +50,6 @@ from .payments import (
     compositions,
     payer,
     player_specific_table,
-    require_table_entries,
 )
 
 
@@ -72,13 +71,11 @@ def brute_force_pne(game: ContestGame, find_all: bool = False,
     profile-keyed tables cost one evaluation per (player, profile).
     Utilities are integer pairs compared by cross-multiplication, and a
     player-invariant payment is read once per (quality, load vector) for
-    all players.  A missing table entry raises before the scan in both
-    modes.
+    all players.
     """
     count = game.Q**game.n
     if count > cap:
         raise CapExceededError(f"{count} profiles exceed the cap {cap}")
-    require_table_entries(game)
     kernel = StabilityKernel(game)
     hits: list[Profile] = []
     for profile in product(game.qualities(), repeat=game.n):
@@ -127,10 +124,8 @@ def _concavity_scan(game: ContestGame,
     and pay(i, b, L - e_a + e_b) for every occupied a and b != a, are
     read once and brought over the lcm of their denominators, and the
     inequalities compare the resulting integers.  A load vector with one
-    occupied quality has no inequality and reads nothing.  A table hole
-    in a neighbourhood the scan reaches raises MissingTableEntryError,
-    even where an inequality of that neighbourhood read before the hole
-    would have failed; holes beyond the first violation are not read.
+    occupied quality has no inequality and reads nothing.  Every key read
+    is in the game, and tables are complete, so every read finds a payment.
     """
     n, Q = game.n, game.Q
     pay = payer(game)
@@ -420,12 +415,10 @@ def reduce_from_normal_form(
     table: dict[tuple[int, Profile], Fraction] = {}
     for profile in product(range(1, m + 1), repeat=n):
         for i in range(1, n + 1):
-            try:
-                payoff = payoffs[i - 1][profile]
-            except KeyError:
+            payoff = payoffs[i - 1].get(profile)
+            if payoff is None:
                 raise PreconditionError(
-                    f"payoff table for player {i} misses profile {profile}"
-                ) from None
+                    f"payoff table for player {i} misses profile {profile}")
             cost_here = skills_t[i - 1] * efforts_t[profile[i - 1] - 1]
             table[(i, profile)] = payoff + cost_here
     participation = (Participation.VOLUNTARY if efforts_t[0] == 0

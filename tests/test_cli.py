@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from contestq import build, save_game
+from contestq import build, save_game, serialize_game
 from contestq.cli import main
 
 from conftest import alone_at_a_quality_game
@@ -210,6 +210,28 @@ def test_cap_env_var_respected(ce1_path, capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_potential_ascent_respects_the_cap(tmp_path, capsys, monkeypatch):
+    from fractions import Fraction as F
+    from contestq import compositions, player_invariant_table
+    from conftest import make_game
+
+    # a table is not declared oblivious, so the ascent first classifies it
+    # over all Q^n = 9 profiles
+    table = {(q, v): F(1, 3 * v[q - 1]) for v in compositions(2, 3)
+             for q in (1, 2, 3) if v[q - 1] > 0}
+    path = tmp_path / "invariant.json"
+    save_game(make_game(2, 3, (1, 1), (1, 2, 3), player_invariant_table(table)), path)
+    solve = ("solve", "--game", str(path), "--method")
+    assert run(capsys, *solve, "potential")[0] == 0
+    assert run(capsys, *solve, "potential", "--max-profiles", "4")[0] == 2
+    monkeypatch.setenv("CONTESTQ_CAP", "4")
+    for argv in (("classify", "--game", str(path)), (*solve, "brute"),
+                 (*solve, "potential")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "cap" in err, argv
+
+
 def test_non_integer_cap_env_var_is_usage_error(ce1_path, capsys, monkeypatch):
     monkeypatch.setenv("CONTESTQ_CAP", "abc")
     code, _, err = run(capsys, "solve", "--game", ce1_path, "--method", "brute")
@@ -255,6 +277,8 @@ def _bad_game_texts():
     profile_keyed["payment"]["table"].append({"player": 1, "profile": [1, 5], "pay": "1"})
     loads_keyed = serialize_game(random_game(1, 2, 2, "concave-specific"))
     loads_keyed["payment"]["table"].append({"player": 1, "q": 1, "loads": [3, -1], "pay": "0"})
+    invariant = serialize_game(random_game(1, 2, 2, "concave-invariant"))
+    invariant["payment"]["table"].append({"q": 1, "loads": [3, -1], "pay": "5"})
     return {
         "string-cost-row": two_by_two(cost={"kind": "table", "values": [["1", "2"], "34"]}),
         "string-oblivious-row": two_by_two(payment={"type": "oblivious", "table": ["12", "34"]}),
@@ -262,6 +286,7 @@ def _bad_game_texts():
         "invariant-entry-not-object": two_by_two(payment={"type": "player_invariant", "table": [5]}),
         "profile-quality-out-of-range": json.dumps(profile_keyed),
         "negative-loads": json.dumps(loads_keyed),
+        "invariant-negative-loads": json.dumps(invariant),
         "duplicate-key": '{"efforts": ["1", "3"], ' + two_by_two()[1:],
     }
 
@@ -275,6 +300,23 @@ def test_rejected_game_file_is_usage_error(tmp_path, capsys, name):
     assert err.startswith("error:")
 
 
+HOLED_COMMANDS = (("solve", "--method", "brute"), ("classify",), ("dynamics",),
+                  ("graph",))
+
+
+def _run_on_holed_file(tmp_path, capsys, game, entry, *commands):
+    """Delete one entry from the serialized, complete `game` and run every
+    command on the file: each exits 2 with an error line and nothing else."""
+    blob = serialize_game(game)
+    blob["payment"]["table"].remove(entry)
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps(blob))
+    for command in commands:
+        code, out, err = run(capsys, command[0], "--game", str(path), *command[1:])
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error:") and "Traceback" not in err, command
+
+
 def test_verify_table_hole_is_usage_error(tmp_path, capsys):
     from fractions import Fraction as F
     from itertools import product
@@ -282,16 +324,13 @@ def test_verify_table_hole_is_usage_error(tmp_path, capsys):
     from contestq import player_specific_table
 
     table = {(i, p): F(0) for i in (1, 2) for p in product((1, 2), repeat=2)}
-    del table[(1, (2, 2))]
     game = ContestGame(n=2, Q=2, skills=(F(1), F(1)), efforts=(F(1), F(2)),
                        participation=Participation.MANDATORY,
                        cost=CostFunction("product"),
                        payment=player_specific_table(profile_table=table))
-    path = tmp_path / "holed.json"
-    save_game(game, path)
-    code, out, err = run(capsys, "verify", "--game", str(path), "--profile", "1,2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
+    _run_on_holed_file(tmp_path, capsys, game,
+                       {"player": 1, "profile": [2, 2], "pay": "0"},
+                       ("verify", "--profile", "1,2"), *HOLED_COMMANDS)
 
 
 def test_all_at_one_declines_scaled_efforts(tmp_path, capsys):
@@ -380,15 +419,14 @@ def test_concavity_on_a_holed_table_exits_2(tmp_path, capsys, form):
 
     shared = {(q, v): F(v[q - 1] - 1) for v in compositions(2, 3)
               for q in (1, 2, 3) if v[q - 1] > 0}
-    del shared[(3, (1, 0, 1))]  # read by the first inequality the gate decides
     payment = (player_invariant_table(shared) if form == "invariant" else
                player_specific_table(loads_table={
                    (i, q, v): pay for i in (1, 2) for (q, v), pay in shared.items()}))
     game = ContestGame(n=2, Q=3, skills=(F(1), F(1)), efforts=(F(1), F(2), F(3)),
                        participation=Participation.MANDATORY,
                        cost=CostFunction("product"), payment=payment)
-    path = tmp_path / "holed.json"
-    save_game(game, path)
-    code, out, err = run(capsys, "concavity", "--game", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    hole = {"q": 3, "loads": [1, 0, 1], "pay": "0"}
+    if form == "specific":
+        hole = {"player": 1, **hole}
+    _run_on_holed_file(tmp_path, capsys, game, hole, ("concavity",),
+                       ("solve", "--method", "contiguous"), *HOLED_COMMANDS)

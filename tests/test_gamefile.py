@@ -1,13 +1,20 @@
 import json
+from itertools import product
 
 import pytest
 
 from contestq import (
     ContestError,
+    ContestGame,
+    CostFunction,
     GameValidationError,
+    Participation,
     build,
+    compositions,
     load_game,
     parse_game,
+    player_invariant_table,
+    player_specific_table,
     random_game,
     save_game,
     serialize_game,
@@ -192,3 +199,66 @@ def test_duplicate_json_keys_rejected(tmp_path):
     path.write_text('{"efforts": ["1", "3"], ' + json.dumps(_two_by_two())[1:])
     with pytest.raises(GameValidationError, match="duplicate JSON key 'efforts'"):
         load_game(path)
+
+
+def _complete_table(form, n, Q):
+    """Every entry of one table form, all paying 0."""
+    qualities = range(1, Q + 1)
+    if form == "profile_table":
+        return {(i, p): F(0) for i in range(1, n + 1)
+                for p in product(qualities, repeat=n)}
+    occupied = [(q, v) for v in compositions(n, Q) for q in qualities if v[q - 1] > 0]
+    if form == "loads_table":
+        return {(i, q, v): F(0) for i in range(1, n + 1) for q, v in occupied}
+    return {key: F(0) for key in occupied}
+
+
+def _table_game(form, n, Q, table):
+    payment = (player_invariant_table(table) if form == "invariant_table"
+               else player_specific_table(**{form: table}))
+    return ContestGame(n=n, Q=Q, skills=(F(1),) * n,
+                       efforts=tuple(F(f) for f in range(1, Q + 1)),
+                       participation=Participation.MANDATORY,
+                       cost=CostFunction("product"), payment=payment)
+
+
+@pytest.mark.parametrize("n, Q", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("form", ["invariant_table", "loads_table", "profile_table"])
+def test_a_table_missing_any_entry_is_rejected(form, n, Q):
+    table = _complete_table(form, n, Q)
+    blob = serialize_game(_table_game(form, n, Q, table))
+    entries = blob["payment"]["table"]
+    assert len(entries) == len(table)
+    for k, key in enumerate(sorted(table)):
+        holed = dict(table)
+        del holed[key]
+        with pytest.raises(GameValidationError, match="incomplete"):
+            _table_game(form, n, Q, holed)
+        blob["payment"]["table"] = entries[:k] + entries[k + 1:]
+        with pytest.raises(GameValidationError, match="incomplete"):
+            parse_game(blob)
+
+
+@pytest.mark.parametrize("kind", ["player_invariant", "player_specific"])
+def test_an_empty_table_is_incomplete(kind):
+    with pytest.raises(GameValidationError, match="incomplete"):
+        parse_game(_two_by_two(payment={"type": kind, "table": []}))
+
+
+def test_loads_table_keys_at_an_unoccupied_quality_are_not_entries():
+    table = _complete_table("loads_table", 2, 3)
+    spare = {(i, q, v): F(0) for i in (1, 2) for v in compositions(2, 3)
+             for q in (1, 2, 3) if v[q - 1] == 0}
+    _table_game("loads_table", 2, 3, {**table, **spare})  # a complete table with spares
+    del table[(2, 3, (0, 1, 1))]
+    with pytest.raises(GameValidationError, match="incomplete"):
+        _table_game("loads_table", 2, 3, {**table, **spare})
+
+
+def test_invariant_table_keys_need_non_negative_loads():
+    # (1, (3, -1)) sums to n = 2 with quality 1 occupied
+    blob = serialize_game(_table_game("invariant_table", 2, 2,
+                                      _complete_table("invariant_table", 2, 2)))
+    blob["payment"]["table"].append({"q": 1, "loads": [3, -1], "pay": "5"})
+    with pytest.raises(GameValidationError, match="bad invariant-table key"):
+        parse_game(blob)

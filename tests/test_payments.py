@@ -8,7 +8,6 @@ import pytest
 
 from contestq import (
     CapExceededError,
-    MissingTableEntryError,
     build,
     classify,
     equal_sharing,
@@ -156,13 +155,6 @@ def test_proportional_sums_to_exactly_one_unless_indeterminate():
         assert total == (0 if profile == (1, 1, 1) else 1)
 
 
-def test_missing_table_entry_is_an_input_error():
-    table = {(1, (2, 0)): F(1, 2)}
-    game = make_game(2, 2, (1, 1), (1, 2), player_invariant_table(table))
-    with pytest.raises(MissingTableEntryError):
-        evaluate_payment(game, (1, 2), 1)
-
-
 # every loads-keyed kind on n = Q = 2; the table kinds pay 1 alone and 1/3 together
 SHARED = {(q, v): F(1, 3) if v[q - 1] == 2 else F(1)
           for v in compositions(2, 2) for q in (1, 2) if v[q - 1] > 0}
@@ -218,6 +210,35 @@ def test_specific_payment_on_loads_rejects_a_player_outside_the_game(player):
     game = make_game(2, 2, (1, 1), (1, 2), LOADS_KINDS["player_specific"])
     with pytest.raises(GameValidationError):
         specific_payment_on_loads(game, player, 1, (1, 1))
+
+
+@pytest.mark.parametrize("kind", sorted(LOADS_KINDS) + ["player_specific_profiles"])
+@pytest.mark.parametrize("profile, player", [
+    ((1, 2), 0),      # player below 1..n; profile[-1] is player 2's quality
+    ((1, 2), 3),      # player above 1..n
+    ((0, 2), 1),      # a quality below 1..Q
+    ((1, 3), 1),      # a quality above 1..Q; no profile-table key
+    ((1,), 1),        # one entry short
+    ((1, 2, 1), 1),   # one entry too many
+])
+def test_evaluate_payment_rejects_a_player_or_profile_outside_the_game(kind, profile,
+                                                                      player):
+    payment = (player_specific_table(profile_table={
+        (i, p): F(1) for i in (1, 2) for p in product((1, 2), repeat=2)})
+        if kind == "player_specific_profiles" else LOADS_KINDS[kind])
+    game = make_game(2, 2, (1, 1), (1, 2), payment)
+    with pytest.raises(GameValidationError):
+        evaluate_payment(game, profile, player)
+
+
+@pytest.mark.parametrize("replaced", [None, (2, (0, 2))])
+def test_invariant_table_rejects_a_negative_load(replaced):
+    # (1, (3, -1)) sums to n = 2 with quality 1 occupied; in place of a real
+    # entry it would also make the entry count come out right
+    table = {key: pay for key, pay in SHARED.items() if key != replaced}
+    table[(1, (3, -1))] = F(5)
+    with pytest.raises(GameValidationError, match="bad invariant-table key"):
+        make_game(2, 2, (1, 1), (1, 2), player_invariant_table(table))
 
 
 @pytest.mark.parametrize("efforts", [(F(1, 3), F(2, 7), F(5, 11)), (0, F(2, 7), F(13, 17))])

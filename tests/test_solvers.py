@@ -11,7 +11,6 @@ from contestq import (
     CostFunction,
     ConcavityReport,
     Deviation,
-    MissingTableEntryError,
     PaymentKind,
     Policy,
     PreconditionError,
@@ -179,47 +178,6 @@ def test_every_scan_matches_the_reference_deviations(seed):
                                   key=lambda m: m.gain)
             assert _pick_move(kernel, profile, Policy.FIRST_IMPROVING, rng) == first
             assert _pick_move(kernel, profile, Policy.BEST_RESPONSE, rng) == reply
-
-
-def test_profile_table_hole_raises_in_every_scan():
-    table = {(i, p): F(0) for i in (1, 2) for p in product((1, 2), repeat=2)}
-    del table[(1, (2, 2))]  # player 1 reads it when leaving (1, 2)
-    game = make_game(2, 2, (1, 1), (1, 2), player_specific_table(profile_table=table))
-    for scan in (is_pne, improvement_steps, run_improvement_path):
-        with pytest.raises(MissingTableEntryError):
-            scan(game, (1, 2))
-
-
-def _zero_table(form, n, Q):
-    """Zero payments: with product costs, all at quality 1 is the first PNE."""
-    qualities = range(1, Q + 1)
-    if form == "profile_table":
-        return {(i, p): F(0) for i in range(1, n + 1)
-                for p in product(qualities, repeat=n)}
-    loads = list(compositions(n, Q))
-    if form == "loads_table":
-        return {(i, q, v): F(0) for i in range(1, n + 1) for v in loads
-                for q in qualities if v[q - 1] > 0}
-    return {(q, v): F(0) for v in loads for q in qualities if v[q - 1] > 0}
-
-
-# each hole is a key that the scan from (1, 1, 1) reaches only much later
-@pytest.mark.parametrize("form, hole", [("profile_table", (1, (2, 2, 2))),
-                                        ("loads_table", (1, 2, (0, 3))),
-                                        ("invariant_table", (2, (0, 3)))])
-def test_missing_table_entry_raises_in_both_modes(form, hole):
-    n, Q = 3, 2
-    make = {"profile_table": lambda t: player_specific_table(profile_table=t),
-            "loads_table": lambda t: player_specific_table(loads_table=t),
-            "invariant_table": player_invariant_table}[form]
-    table = _zero_table(form, n, Q)
-    full = make_game(n, Q, (1, 1, 1), (1, 2), make(table))
-    assert brute_force_pne(full).found == (1, 1, 1)
-    del table[hole]
-    holed = make_game(n, Q, (1, 1, 1), (1, 2), make(table))
-    for find_all in (False, True):
-        with pytest.raises(MissingTableEntryError):
-            brute_force_pne(holed, find_all=find_all)
 
 
 # --- the integer kernel: exact, strict and one payment read per key --------
@@ -494,29 +452,6 @@ def test_concavity_gate_matches_the_definition(seed):
         assert report == reference_concavity(game)
         verdicts.add(report.holds)
     assert verdicts == ({True} if seed == 0 else {False, True})  # seed 0 draws no violation
-
-
-def _holed_gate_games():
-    """n = 2, Q = 3: the swap inequality at L = (1, 1, 0) fails, and the
-    exchange inequality there reads the missing key (3, (1, 0, 1))."""
-    loads = list(compositions(2, 3))
-    shared = {(q, v): F(v[q - 1] - 1) for v in loads for q in (1, 2, 3) if v[q - 1] > 0}
-    del shared[(3, (1, 0, 1))]
-    per_player = {(i, q, v): pay for i in (1, 2) for (q, v), pay in shared.items()}
-    return [make_game(2, 3, (1, 1), (1, 2, 3), player_invariant_table(shared)),
-            make_game(2, 3, (1, 1), (1, 2, 3),
-                      player_specific_table(loads_table=per_player))]
-
-
-@pytest.mark.parametrize("game", _holed_gate_games(), ids=["invariant", "specific"])
-def test_concavity_gate_raises_on_a_hole_it_reads(game):
-    # the hole sits in the first neighbourhood that has an inequality, so it
-    # raises although a swap inequality read before it would already fail
-    solve = (solve_contiguous_specific if game.payment.loads_table is not None
-             else solve_contiguous_invariant)
-    for gated in (concavity_report, solve):
-        with pytest.raises(MissingTableEntryError):
-            gated(game)
 
 
 # --- contigufication --------------------------------------------------------
