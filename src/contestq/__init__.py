@@ -16,6 +16,7 @@ from .game import (
     StabilityKernel,
     is_pne,
     load_of,
+    utilities,
     utility,
 )
 from .payments import (

@@ -10,11 +10,15 @@ Profiles on the command line are comma-separated 1-indexed qualities
 inputs and seed give byte-identical stdout; timing goes to stderr.
 The CONTESTQ_CAP environment variable overrides the default caps of
 10^6 profiles and 10^5 graph nodes.
+
+`main(argv)` may be called any number of times in one process: it
+builds its argument parser once and reuses it (see `make_parser`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +34,7 @@ from .dynamics import (
     to_dot,
 )
 from .errors import ContestError
-from .game import ContestGame, Profile, is_pne, load_of, utility
+from .game import ContestGame, Profile, is_pne, load_of, utilities
 from .gamefile import load_game, load_profile, save_game, serialize_game
 from .instances import INSTANCE_IDS, build, verify_certificate
 from .payments import PaymentKind, classify
@@ -89,21 +93,20 @@ def parse_state(game: ContestGame, text: str) -> Profile:
 def _emit_pne(game: ContestGame, profile: Profile, fmt: str, method: str,
               candidates: int) -> None:
     loads = load_of(profile, game.Q)
-    utilities = [format_rational(utility(game, profile, i))
-                 for i in game.players()]
+    values = list(map(format_rational, utilities(game, profile)))
     if fmt == "json":
         print(json.dumps({
             "status": "pne",
             "method": method,
             "profile": list(profile),
             "loads": list(loads),
-            "utilities": utilities,
+            "utilities": values,
             "candidates": candidates,
         }, sort_keys=True))
     else:
         print(f"pure Nash equilibrium: {','.join(map(str, profile))}")
         print(f"loads: L:{','.join(map(str, loads))}")
-        print(f"utilities: {' '.join(utilities)}")
+        print(f"utilities: {' '.join(values)}")
         print(f"candidates checked: {candidates}")
 
 
@@ -172,9 +175,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ContestError("verify needs --profile or --profile-file")
     verdict = is_pne(game, profile)
     if verdict:
-        utilities = " ".join(format_rational(utility(game, profile, i))
-                             for i in game.players())
-        print(f"PNE: {','.join(map(str, profile))} (utilities {utilities})")
+        values = " ".join(map(format_rational, utilities(game, profile)))
+        print(f"PNE: {','.join(map(str, profile))} (utilities {values})")
         return 0
     w = verdict.witness
     assert w is not None
@@ -272,7 +274,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The `contestq` argument parser, built once per process.
+
+    Parsing keeps no state between calls, and usage errors and `--help`
+    write to the `sys.stderr` and `sys.stdout` of the moment, so every
+    `main` call shares this one parser.  Each subcommand's `func` is
+    bound to its `cmd_*` function when the parser is first built: a
+    caller who replaces a `cmd_*` function afterwards must call
+    `make_parser.cache_clear()` for `main` to see it.
+    """
     parser = argparse.ArgumentParser(
         prog="contestq",
         description="Exact pure-Nash-equilibrium toolkit for review contests",

@@ -96,8 +96,13 @@ def run_improvement_path(game: ContestGame, start: Profile,
 
     Any revisited state closes an improvement cycle, so the walk always
     terminates without a step bound; `max_steps` only truncates earlier.
+    A walk is truncated only when it has taken `max_steps` steps and a
+    further move exists, so one that reaches an equilibrium on its last
+    allowed step converges.
     """
     policy = parse_policy(policy)
+    if max_steps is not None and max_steps < 0:
+        raise PreconditionError(f"max_steps must be >= 0, got {max_steps}")
     validate_profile(game, start)
     rng = _random.Random(seed)
     kernel = StabilityKernel(game)
@@ -106,11 +111,11 @@ def run_improvement_path(game: ContestGame, start: Profile,
     path = [profile]
     steps = 0
     while True:
-        if max_steps is not None and steps >= max_steps:
-            return PathResult(PathStatus.TRUNCATED, steps=steps)
         move = _pick_move(kernel, profile, policy, rng)
         if move is None:
             return PathResult(PathStatus.CONVERGED, profile=profile, steps=steps)
+        if max_steps is not None and steps >= max_steps:
+            return PathResult(PathStatus.TRUNCATED, steps=steps)
         profile = move.apply(profile)
         steps += 1
         if profile in seen:
@@ -320,14 +325,14 @@ def to_dot(graph: ImprovementGraph) -> str:
     """GraphViz rendering, sinks double-circled."""
     lines = ["digraph improvement {"]
     sinks = set(graph.sinks())
+    label = {node: node_label(graph.mode, node) for node in graph.nodes}
     for node in graph.nodes:
         shape = "doublecircle" if node in sinks else "circle"
-        lines.append(f'  "{node_label(graph.mode, node)}" [shape={shape}];')
+        lines.append(f'  "{label[node]}" [shape={shape}];')
     for node in graph.nodes:
         for e in graph.edges[node]:
             lines.append(
-                f'  "{node_label(graph.mode, e.source)}" -> '
-                f'"{node_label(graph.mode, e.target)}" '
+                f'  "{label[e.source]}" -> "{label[e.target]}" '
                 f'[label="{e.from_quality}->{e.to_quality}"];'
             )
     lines.append("}")

@@ -167,6 +167,14 @@ def utility(game: ContestGame, profile: Profile, player: int) -> Fraction:
     return pay - game.cost_of(player, profile[player - 1])
 
 
+def utilities(game: ContestGame, profile: Profile) -> list[Fraction]:
+    """Every player's `utility` under `profile`, from one payer, in player order."""
+    validate_profile(game, profile)
+    key = profile if game.payment.profile_table is not None else load_of(profile, game.Q)
+    pay = payer(game)
+    return [pay(i, q, key) - game.cost_of(i, q) for i, q in enumerate(profile, 1)]
+
+
 class Deviation(NamedTuple):
     """A strictly improving unilateral move: who, where to, and by how much."""
 

@@ -1,9 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from contestq import build, save_game, serialize_game
-from contestq.cli import main
+import contestq
+from contestq import build, random_game, save_game, serialize_game
+from contestq.cli import main, make_parser
 
 from conftest import alone_at_a_quality_game
 
@@ -393,6 +399,26 @@ def test_dynamics_truncation_exit(ce1_path, capsys):
     assert code == 1 and "truncated" in out
 
 
+def test_dynamics_converging_on_the_last_allowed_step_exits_0(tmp_path, capsys):
+    path = tmp_path / "prop.json"
+    save_game(random_game(5, 4, 3, "proportional"), path)
+    code, out, _ = run(capsys, "dynamics", "--game", str(path),
+                       "--start", "3,3,3,3", "--max-steps", "5")
+    assert (code, out) == (0, "converged in 5 steps: 1,2,1,2\n")
+    code, out, _ = run(capsys, "dynamics", "--game", str(path),
+                       "--start", "3,3,3,3", "--max-steps", "4")
+    assert (code, out) == (1, "truncated after 4 steps\n")
+    code, out, _ = run(capsys, "dynamics", "--game", str(path),
+                       "--start", "1,2,1,2", "--max-steps", "0")
+    assert (code, out) == (0, "converged in 0 steps: 1,2,1,2\n")
+
+
+def test_negative_max_steps_is_usage_error(ce1_path, capsys):
+    code, out, err = run(capsys, "dynamics", "--game", ce1_path, "--max-steps", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "max_steps" in err
+
+
 def test_concavity_violation_exit(tmp_path, capsys):
     from fractions import Fraction as F
     from contestq import ContestGame, CostFunction, Participation
@@ -430,3 +456,72 @@ def test_concavity_on_a_holed_table_exits_2(tmp_path, capsys, form):
         hole = {"player": 1, **hole}
     _run_on_holed_file(tmp_path, capsys, game, hole, ("concavity",),
                        ("solve", "--method", "contiguous"), *HOLED_COMMANDS)
+
+
+# --- one parser per process ---------------------------------------------------
+
+def test_main_builds_its_parser_once(ce1_path, wow_path, tmp_path, capsys, monkeypatch):
+    make_parser.cache_clear()
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "solve", "--game", ce1_path, "--method", "brute")[0] == 1
+    once = len(built)
+    assert built.count("contestq") == 1
+    for argv in (("verify", "--game", wow_path, "--profile", "1,1"),
+                 ("dynamics", "--game", ce1_path, "--start", "1,2"),
+                 ("graph", "--game", wow_path),
+                 ("concavity", "--game", wow_path),
+                 ("classify", "--game", ce1_path),
+                 ("instance", "ce1"),
+                 ("solve", "--game", wow_path, "--method", "brute")):
+        run(capsys, *argv)
+    assert len(built) == once
+    assert make_parser.cache_info().misses == 1
+
+
+def test_a_usage_error_leaks_nothing_into_the_next_call(wow_path, capsys):
+    first = run(capsys, "solve", "--game", wow_path, "--method", "brute")
+    json_out = run(capsys, "solve", "--game", wow_path, "--method", "brute",
+                   "--format", "json")
+    assert json.loads(json_out[1])["status"] == "pne"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--game", wow_path])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: contestq solve")
+    assert "--method" in captured.err
+    again = run(capsys, "solve", "--game", wow_path, "--method", "brute")
+    assert again[:2] == first[:2]
+    assert first[0] == 0 and first[1].startswith("pure Nash equilibrium: 1,1\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_prints_the_same_text_twice(argv, capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        texts.append(captured.out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: contestq")
+
+
+def test_a_fresh_process_matches_main_in_process(ce1_path, wow_path, capsys):
+    env = dict(os.environ)
+    src = str(Path(contestq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, want in ((["solve", "--game", wow_path, "--method", "brute"], 0),
+                       (["solve", "--game", ce1_path, "--method", "brute"], 1),
+                       (["dynamics", "--game", ce1_path, "--max-steps", "-1"], 2)):
+        shell = subprocess.run([sys.executable, "-m", "contestq.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        code, out, _ = run(capsys, *argv)
+        assert (shell.returncode, shell.stdout) == (code, out) and code == want
+        assert "Traceback" not in shell.stderr

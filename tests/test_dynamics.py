@@ -5,6 +5,7 @@ import pytest
 
 from contestq import (
     CapExceededError,
+    PathResult,
     PathStatus,
     PreconditionError,
     analyze_graph,
@@ -17,6 +18,7 @@ from contestq import (
     load_of,
     potential,
     proportional,
+    random_game,
     run_improvement_path,
     to_dot,
 )
@@ -77,6 +79,35 @@ def test_truncation():
     game = build("ce1").game
     walk = run_improvement_path(game, (1, 1), policy="first", max_steps=1)
     assert walk.status is PathStatus.TRUNCATED
+
+
+@pytest.mark.parametrize("policy", ["first", "best", "random"])
+def test_a_walk_converging_on_its_last_allowed_step_converges(policy):
+    game = random_game(5, 4, 3, "proportional")
+    free = run_improvement_path(game, (3, 3, 3, 3), policy=policy, seed=7)
+    assert free.status is PathStatus.CONVERGED and free.steps >= 4
+    bound = run_improvement_path(game, (3, 3, 3, 3), policy=policy, seed=7,
+                                 max_steps=free.steps)
+    assert bound == free
+    short = run_improvement_path(game, (3, 3, 3, 3), policy=policy, seed=7,
+                                 max_steps=free.steps - 1)
+    assert short == PathResult(PathStatus.TRUNCATED, steps=free.steps - 1)
+    still = run_improvement_path(game, free.profile, policy=policy, max_steps=0)
+    assert still == PathResult(PathStatus.CONVERGED, profile=free.profile, steps=0)
+
+
+def test_a_cycle_closed_on_the_last_allowed_step_is_a_cycle():
+    game = build("ce1").game
+    free = run_improvement_path(game, (1, 2), policy="best-response")
+    assert free.status is PathStatus.CYCLE
+    assert run_improvement_path(game, (1, 2), policy="best-response",
+                                max_steps=free.steps) == free
+
+
+def test_negative_max_steps_is_a_precondition_error():
+    game = build("ce1").game
+    with pytest.raises(PreconditionError, match="max_steps"):
+        run_improvement_path(game, (1, 1), max_steps=-1)
 
 
 def test_analyze_graph_fip_voluntary_sinks():
@@ -161,6 +192,61 @@ def test_quotient_consistency(n, Q, iid):
     anon = analyze_graph(game, mode="anonymous")
     assert full.acyclic == anon.acyclic
     assert sorted({load_of(s, Q) for s in full.sinks}) == anon.sinks
+
+
+DOT_PROFILE_2X2 = """\
+digraph improvement {
+  "1,1" [shape=doublecircle];
+  "1,2" [shape=circle];
+  "2,1" [shape=circle];
+  "2,2" [shape=circle];
+  "1,2" -> "1,1" [label="2->1"];
+  "2,1" -> "1,1" [label="2->1"];
+  "2,2" -> "1,2" [label="2->1"];
+  "2,2" -> "2,1" [label="2->1"];
+}
+"""
+
+DOT_ANONYMOUS_3X3 = """\
+digraph improvement {
+  "L:3,0,0" [shape=doublecircle];
+  "L:2,1,0" [shape=doublecircle];
+  "L:1,2,0" [shape=circle];
+  "L:0,3,0" [shape=circle];
+  "L:2,0,1" [shape=circle];
+  "L:1,1,1" [shape=circle];
+  "L:0,2,1" [shape=circle];
+  "L:1,0,2" [shape=circle];
+  "L:0,1,2" [shape=circle];
+  "L:0,0,3" [shape=circle];
+  "L:1,2,0" -> "L:2,1,0" [label="2->1"];
+  "L:0,3,0" -> "L:1,2,0" [label="2->1"];
+  "L:2,0,1" -> "L:3,0,0" [label="3->1"];
+  "L:2,0,1" -> "L:2,1,0" [label="3->2"];
+  "L:1,1,1" -> "L:2,0,1" [label="2->1"];
+  "L:1,1,1" -> "L:2,1,0" [label="3->1"];
+  "L:1,1,1" -> "L:1,2,0" [label="3->2"];
+  "L:0,2,1" -> "L:1,1,1" [label="2->1"];
+  "L:0,2,1" -> "L:1,2,0" [label="3->1"];
+  "L:0,2,1" -> "L:0,3,0" [label="3->2"];
+  "L:1,0,2" -> "L:2,0,1" [label="3->1"];
+  "L:1,0,2" -> "L:1,1,1" [label="3->2"];
+  "L:0,1,2" -> "L:1,0,2" [label="2->1"];
+  "L:0,1,2" -> "L:1,1,1" [label="3->1"];
+  "L:0,1,2" -> "L:0,2,1" [label="3->2"];
+  "L:0,0,3" -> "L:1,0,2" [label="3->1"];
+  "L:0,0,3" -> "L:0,1,2" [label="3->2"];
+}
+"""
+
+
+@pytest.mark.parametrize("iid,kwargs,mode,golden", [
+    ("fip_mandatory", {"n": 2, "Q": 2}, "profile", DOT_PROFILE_2X2),
+    ("fip_voluntary", {"n": 3, "Q": 3}, "anonymous", DOT_ANONYMOUS_3X3),
+])
+def test_dot_export_golden(iid, kwargs, mode, golden):
+    graph = build_improvement_graph(build(iid, **kwargs).game, mode=mode)
+    assert to_dot(graph) == golden
 
 
 def test_dot_export_marks_sinks():

@@ -21,6 +21,8 @@ from contestq import (
     player_specific_table,
     proportional,
     random_game,
+    utilities,
+    utility,
 )
 from contestq.errors import GameValidationError, PreconditionError
 from contestq.payments import (
@@ -333,6 +335,26 @@ def test_classify_agrees_with_the_definitions(kind, shape):
         seen.add(tuple(verdict))
     if shape == "player-quality-loads":
         assert (False, False) in seen
+
+
+@pytest.mark.parametrize("kind,shape", CLASS_CASES)
+def test_utilities_is_every_players_utility(kind, shape):
+    for seed in range(4):
+        rng = random.Random(f"utilities/{kind}/{shape}/{seed}")
+        n, Q = rng.randint(2, 4), rng.randint(2, 3)
+        first = rng.randint(0, 1)  # voluntary or mandatory
+        efforts = tuple(range(first, first + Q))
+        skills = tuple(F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n))
+        game = make_game(n, Q, skills, efforts, _seeded_payment(rng, n, Q, kind, shape))
+        for profile in product(game.qualities(), repeat=n):
+            assert utilities(game, profile) == \
+                [utility(game, profile, i) for i in game.players()], (kind, shape, seed)
+
+
+@pytest.mark.parametrize("profile", [(1,), (1, 3), (0, 1), (1, 2.0)])
+def test_utilities_checks_the_profile(prop_2x2, profile):
+    with pytest.raises(GameValidationError):
+        utilities(prop_2x2, profile)
 
 
 def test_classify_a_payment_of_their_own_for_a_player_alone():
