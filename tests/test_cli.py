@@ -460,7 +460,7 @@ def test_concavity_on_a_holed_table_exits_2(tmp_path, capsys, form):
 
 # --- one parser per process ---------------------------------------------------
 
-def test_main_builds_its_parser_once(ce1_path, wow_path, tmp_path, capsys, monkeypatch):
+def test_main_builds_its_parser_once(ce1_path, wow_path, capsys, monkeypatch):
     make_parser.cache_clear()
     built = []
     real_init = argparse.ArgumentParser.__init__
