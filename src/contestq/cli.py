@@ -280,10 +280,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     Parsing keeps no state between calls, and usage errors and `--help`
     write to the `sys.stderr` and `sys.stdout` of the moment, so every
-    `main` call shares this one parser.  Each subcommand's `func` is
-    bound to its `cmd_*` function when the parser is first built: a
-    caller who replaces a `cmd_*` function afterwards must call
-    `make_parser.cache_clear()` for `main` to see it.
+    `main` call shares this one parser.  It binds no handlers: `main`
+    looks up `cmd_<command>` when it runs.
     """
     parser = argparse.ArgumentParser(
         prog="contestq",
@@ -301,7 +299,6 @@ def make_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-profiles", type=int, default=None)
     solve.add_argument("--trust-concavity", action="store_true",
                        help="skip the three-discrete-concavity check")
-    solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check whether a profile is a PNE")
     verify.add_argument("--game", required=True)
@@ -309,7 +306,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="comma-separated qualities (1,2,2) or loads (L:2,1,0)")
     verify.add_argument("--profile-file", default=None,
                         help="JSON file with a 'profile' key (solve --format json output)")
-    verify.set_defaults(func=cmd_verify)
 
     dynamics = sub.add_parser("dynamics", help="run an improvement path")
     dynamics.add_argument("--game", required=True)
@@ -319,7 +315,6 @@ def make_parser() -> argparse.ArgumentParser:
                                    "best-response", "random"))
     dynamics.add_argument("--seed", type=int, default=0)
     dynamics.add_argument("--max-steps", type=int, default=None)
-    dynamics.set_defaults(func=cmd_dynamics)
 
     graph = sub.add_parser("graph", help="analyze the improvement graph")
     graph.add_argument("--game", required=True)
@@ -329,14 +324,12 @@ def make_parser() -> argparse.ArgumentParser:
                        help="force the load-vector quotient")
     graph.add_argument("--dot", default=None, help="write GraphViz output here")
     graph.add_argument("--max-nodes", type=int, default=None)
-    graph.set_defaults(func=cmd_graph)
 
     concavity = sub.add_parser("concavity",
                                help="check three-discrete-concavity")
     concavity.add_argument("--game", required=True)
     concavity.add_argument("--form", default="auto",
                            choices=("auto", "specific", "invariant"))
-    concavity.set_defaults(func=cmd_concavity)
 
     instance = sub.add_parser("instance", help="emit or verify a catalog game")
     instance.add_argument("id", choices=INSTANCE_IDS)
@@ -345,13 +338,11 @@ def make_parser() -> argparse.ArgumentParser:
     instance.add_argument("--Q", type=int, default=3)
     instance.add_argument("--emit", default=None)
     instance.add_argument("--verify", action="store_true")
-    instance.set_defaults(func=cmd_instance)
 
     classify_p = sub.add_parser("classify",
                                 help="decide obliviousness / player-invariance")
     classify_p.add_argument("--game", required=True)
     classify_p.add_argument("--max-profiles", type=int, default=None)
-    classify_p.set_defaults(func=cmd_classify)
     return parser
 
 
@@ -359,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ContestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import GameValidationError
 from .payments import (
     PaymentFunction,
+    _payment_key,
     evaluate_payment,
     load_of,
     payer,
@@ -170,7 +171,7 @@ def utility(game: ContestGame, profile: Profile, player: int) -> Fraction:
 def utilities(game: ContestGame, profile: Profile) -> list[Fraction]:
     """Every player's `utility` under `profile`, from one payer, in player order."""
     validate_profile(game, profile)
-    key = profile if game.payment.profile_table is not None else load_of(profile, game.Q)
+    key = _payment_key(game, profile)
     pay = payer(game)
     return [pay(i, q, key) - game.cost_of(i, q) for i, q in enumerate(profile, 1)]
 

@@ -328,13 +328,17 @@ def validate_profile(game: "ContestGame", profile: Profile) -> None:
             raise GameValidationError(f"quality {q!r} outside 1..{game.Q}")
 
 
+def _payment_key(game: "ContestGame", profile: Profile) -> Key:
+    """The payer's key for `profile`: itself under a profile-keyed table, else its loads."""
+    return profile if game.payment.profile_table is not None else load_of(profile, game.Q)
+
+
 def evaluate_payment(game: "ContestGame", profile: Profile, player: int) -> Fraction:
     """Payment awarded to `player` (1-indexed) under `profile`."""
     validate_profile(game, profile)
     if not isinstance(player, int) or not 1 <= player <= game.n:
         raise GameValidationError(f"player {player!r} outside 1..{game.n}")
-    key = profile if game.payment.profile_table is not None else load_of(profile, game.Q)
-    return payer(game)(player, profile[player - 1], key)
+    return payer(game)(player, profile[player - 1], _payment_key(game, profile))
 
 
 def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fraction:

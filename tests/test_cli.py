@@ -485,6 +485,16 @@ def test_main_builds_its_parser_once(ce1_path, wow_path, capsys, monkeypatch):
     assert make_parser.cache_info().misses == 1
 
 
+def test_main_calls_a_replaced_command_through_the_built_parser(wow_path, capsys,
+                                                                monkeypatch):
+    assert run(capsys, "classify", "--game", wow_path)[0] == 0
+    seen = []
+    monkeypatch.setattr("contestq.cli.cmd_classify",
+                        lambda args: seen.append(args.game) or 7)
+    assert run(capsys, "classify", "--game", wow_path)[0] == 7
+    assert seen == [wow_path]
+
+
 def test_a_usage_error_leaks_nothing_into_the_next_call(wow_path, capsys):
     first = run(capsys, "solve", "--game", wow_path, "--method", "brute")
     json_out = run(capsys, "solve", "--game", wow_path, "--method", "brute",
