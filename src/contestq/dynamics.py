@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import groupby, product
 from math import comb
 from operator import attrgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import CapExceededError, PreconditionError
 from .game import (
@@ -138,8 +138,7 @@ def _pick_move(kernel: StabilityKernel, profile: Profile, policy: Policy,
     return options[rng.randrange(len(options))] if options else None
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: Node
     target: Node
     player: Optional[int]  # None in anonymous (load-vector) mode

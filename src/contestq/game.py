@@ -78,14 +78,6 @@ class CostFunction:
         return self.table[player - 1][quality - 1]
 
 
-def product_cost() -> CostFunction:
-    return CostFunction(kind="product")
-
-
-def table_cost(values: tuple[tuple[Fraction, ...], ...]) -> CostFunction:
-    return CostFunction(kind="table", table=values)
-
-
 @dataclass(frozen=True)
 class ContestGame:
     """An immutable contest-game instance.
@@ -173,7 +165,7 @@ def utilities(game: ContestGame, profile: Profile) -> list[Fraction]:
     validate_profile(game, profile)
     key = _payment_key(game, profile)
     pay = payer(game)
-    return [pay(i, q, key) - game.cost_of(i, q) for i, q in enumerate(profile, 1)]
+    return [Fraction(*pay(i, q, key)) - game.cost_of(i, q) for i, q in enumerate(profile, 1)]
 
 
 class Deviation(NamedTuple):
@@ -232,16 +224,16 @@ class StabilityKernel:
     (player, quality, key).  Memos live in the instance, so build one
     kernel per game for a scan, a walk or a graph.
 
-    Utilities are kept as unreduced integer pairs (numerator, positive
-    denominator), and u_b > u_a is decided exactly by cross-multiplying.
-    Only the gain of a strictly improving move becomes a `Fraction`.
-    Payment tables are complete, so no scan meets a missing entry.
+    Payments arrive as integer pairs, utilities are kept as unreduced
+    integer pairs (numerator, positive denominator), and u_b > u_a is
+    decided exactly by cross-multiplying.  Once the kernel is built, only an
+    improving move's gain becomes a `Fraction`: `stable` builds none.
     """
 
     def __init__(self, game: ContestGame) -> None:
         self._Q = game.Q
-        self._costs = tuple(tuple(game.cost_of(i, q).as_integer_ratio()
-                                  for q in game.qualities())
+        self._qualities = game.qualities()
+        self._costs = tuple(tuple(game.cost_of(i, q).as_integer_ratio() for q in self._qualities)
                             for i in game.players())
         self._by_profile = game.payment.profile_table is not None
         self._payment = payer(game)
@@ -283,9 +275,21 @@ class StabilityKernel:
         tables; player i holds quality a in it.
         """
         hn, hd = self._utility(i, a, key)
-        for b in range(1, self._Q + 1):
+        moved = list(key)
+        if self._by_profile:
+            for b in self._qualities:
+                if b != a:
+                    moved[i - 1] = b
+                    bn, bd = self._utility(i, b, tuple(moved))
+                    if bn * hd > hn * bd:
+                        yield b, Fraction(bn * hd - hn * bd, bd * hd)
+            return
+        moved[a - 1] -= 1
+        for b in self._qualities:
             if b != a:
-                bn, bd = self._utility(i, b, self._move(key, i, a, b))
+                moved[b - 1] += 1
+                bn, bd = self._utility(i, b, tuple(moved))
+                moved[b - 1] -= 1
                 if bn * hd > hn * bd:
                     yield b, Fraction(bn * hd - hn * bd, bd * hd)
 
@@ -296,17 +300,24 @@ class StabilityKernel:
         profile scans call it on every memo miss.
         """
         hn, hd = self._utility(i, a, key)
-        for b in range(1, self._Q + 1):
+        moved = list(key)
+        if self._by_profile:
+            for b in self._qualities:
+                if b != a:
+                    moved[i - 1] = b
+                    bn, bd = self._utility(i, b, tuple(moved))
+                    if bn * hd > hn * bd:
+                        return False
+            return True
+        moved[a - 1] -= 1
+        for b in self._qualities:
             if b != a:
-                bn, bd = self._utility(i, b, self._move(key, i, a, b))
+                moved[b - 1] += 1
+                bn, bd = self._utility(i, b, tuple(moved))
+                moved[b - 1] -= 1
                 if bn * hd > hn * bd:
                     return False
         return True
-
-    def _move(self, key: tuple[int, ...], i: int, a: int, b: int) -> tuple[int, ...]:
-        if self._by_profile:
-            return key[: i - 1] + (b,) + key[i:]
-        return _shift(key, a, b)
 
     def _utility(self, i: int, q: int, key: tuple[int, ...]) -> tuple[int, int]:
         """Payment minus cost as (numerator, denominator > 0), unreduced."""
@@ -315,11 +326,11 @@ class StabilityKernel:
         if value is None:
             shared = self._shared
             if shared is None:
-                pn, pd = self._payment(i, q, key).as_integer_ratio()
+                pn, pd = self._payment(i, q, key)
             else:
                 pay = shared.get((q, key))
                 if pay is None:
-                    pay = shared[(q, key)] = self._payment(i, q, key).as_integer_ratio()
+                    pay = shared[(q, key)] = self._payment(i, q, key)
                 pn, pd = pay
             cn, cd = self._costs[i - 1][q - 1]
             value = self._utilities[memo_key] = (pn * cd - cn * pd, pd * cd)

@@ -27,7 +27,7 @@ from .dynamics import (
     improvement_steps,
     run_improvement_path,
 )
-from .errors import PreconditionError
+from .errors import GameValidationError, PreconditionError
 from .game import ContestGame, CostFunction, Participation, Profile, is_pne
 from .payments import (
     PaymentFunction,
@@ -138,6 +138,8 @@ def build(instance_id: str, *, k: int = 2, n: int = 3, Q: int = 3,
     if instance_id == "natasa":
         efforts_t = efforts if efforts is not None else tuple(
             F(q) for q in range(1, Q + 1))
+        if n < 2 or len(efforts_t) < 2:  # before 1/n and f2 are read
+            raise GameValidationError("natasa needs n >= 2 players and Q >= 2 qualities")
         if efforts_t[1] < 1 - F(1, n):
             raise PreconditionError(
                 f"natasa needs the effort normalization f2 >= 1 - 1/n = "

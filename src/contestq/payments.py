@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
 from .errors import CapExceededError, GameValidationError, PreconditionError
@@ -30,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Loads = tuple[int, ...]
 Profile = tuple[int, ...]
 Key = tuple[int, ...]  # a load vector, or a profile under profile-keyed tables
+Ratio = tuple[int, int]  # a payment as (numerator, denominator > 0) in lowest terms
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -191,11 +193,15 @@ def load_of(profile: Profile, Q: int) -> Loads:
     return tuple(loads)
 
 
-def _top_effort_sum(efforts: tuple[Fraction, ...], eligible_from: int, n: int) -> Fraction:
-    """Sum of the min(n, #eligible) largest efforts among qualities > eligible_from."""
-    eligible = efforts[eligible_from:]
-    take = min(n, len(eligible))
-    return sum(eligible[len(eligible) - take:], ZERO)
+def _eligible_from(game: "ContestGame", family: str, K: Optional[int]) -> int:
+    """How many of the lowest qualities `family` leaves unpaid: 0, or Q - K for K-Top."""
+    if family == "equal_sharing":
+        return 0
+    if family != "ktop":
+        raise PreconditionError(f"no normalization constant for family {family!r}")
+    if K is None and game.payment.kind is not PaymentKind.KTOP:
+        raise PreconditionError("K required for the K-Top constant")
+    return game.Q - (game.payment.K if K is None else K)
 
 
 def normalization_constant(game: "ContestGame", family: str,
@@ -206,34 +212,13 @@ def normalization_constant(game: "ContestGame", family: str,
     eligible qualities, so the maximum is the sum of the min(n,
     #eligible) largest eligible efforts.
     """
-    if family == "equal_sharing":
-        eligible_from = 0
-    elif family == "ktop":
-        if K is None:
-            if game.payment.kind is not PaymentKind.KTOP:
-                raise PreconditionError("K required for the K-Top constant")
-            K = game.payment.K
-        assert K is not None
-        eligible_from = game.Q - K
-    else:
-        raise PreconditionError(
-            f"no normalization constant for family {family!r}"
-        )
-    return ONE / _top_effort_sum(game.efforts, eligible_from, game.n)
+    return ONE / sum(game.efforts[_eligible_from(game, family, K):][-game.n:], ZERO)
 
 
 def normalization_constant_bruteforce(game: "ContestGame", family: str,
                                       K: Optional[int] = None) -> Fraction:
     """Same constant by enumerating all load vectors; the test oracle."""
-    if family == "equal_sharing":
-        eligible_from = 0
-    elif family == "ktop":
-        if K is None:
-            K = game.payment.K
-        assert K is not None
-        eligible_from = game.Q - K
-    else:
-        raise PreconditionError(f"no normalization constant for family {family!r}")
+    eligible_from = _eligible_from(game, family, K)
     best = ZERO
     for loads in compositions(game.n, game.Q):
         payout = sum(
@@ -254,7 +239,7 @@ def compositions(n: int, Q: int):
             yield head + (tail,)
 
 
-def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Fraction]:
+def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Ratio]:
     """The payment lookup of `game`: pay(player, quality, key).
 
     `key` is the load vector, or the full profile under profile-keyed
@@ -263,7 +248,9 @@ def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Fraction]:
     one place that turns a payment kind into a payment; the equal-sharing
     and K-Top normalization constants are resolved once, here.  Tables
     are complete (`PaymentFunction.validate_shape`), so every key inside
-    the game is a plain lookup; the payer trusts its keys.
+    the game is a plain lookup; the payer trusts its keys.  A payment is
+    its `Fraction.as_integer_ratio()` pair: lowest terms, positive
+    denominator, so equal payments have equal pairs.
     """
     pf = game.payment
     kind = pf.kind
@@ -273,48 +260,48 @@ def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Fraction]:
         scale = lcm(*[f.denominator for f in efforts])
         weights = tuple(f.numerator * (scale // f.denominator) for f in efforts)
 
-        def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
-            total = sum(m * w for m, w in zip(loads, weights))
+        def pay(player: Optional[int], quality: int, loads: Key) -> Ratio:
+            total = sum(map(mul, loads, weights))
             if total == 0:
-                return ZERO  # voluntary, everyone at quality 1: defined as 0
-            return Fraction(weights[quality - 1], total)
+                return (0, 1)  # voluntary, everyone at quality 1: defined as 0
+            weight = weights[quality - 1]
+            g = gcd(weight, total)
+            return (weight // g, total // g)
     elif kind in (PaymentKind.EQUAL_SHARING, PaymentKind.KTOP):
         c = normalization_constant(game, kind.value)
         unpaid = 0 if pf.K is None else game.Q - pf.K  # K-Top pays the top K only
+        shares = tuple((0, 1) if q <= unpaid else (c * f).as_integer_ratio()
+                       for q, f in enumerate(efforts, 1))  # c * f_q in lowest terms
 
-        def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
-            if quality <= unpaid:
-                return ZERO
-            return c * efforts[quality - 1] / loads[quality - 1]
+        def pay(player: Optional[int], quality: int, loads: Key) -> Ratio:
+            num, den = shares[quality - 1]
+            load = loads[quality - 1]
+            g = gcd(num, load)  # num is coprime to den, so this reduces num / (den * load)
+            return (num // g, den * (load // g))
     elif kind is PaymentKind.OBLIVIOUS_TABLE:
-        if pf.matrix is not None:
-            mat = pf.matrix
+        # a shared matrix is player-invariant, so `player` may be None: read it as 1
+        mats = pf.matrices or (pf.matrix,) * game.n
 
-            def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
-                return mat[quality - 1][loads[quality - 1] - 1]
-        else:
-            mats = pf.matrices
-            assert mats is not None
-
-            def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
-                return mats[player - 1][quality - 1][loads[quality - 1] - 1]
+        def pay(player: Optional[int], quality: int, loads: Key) -> Ratio:
+            mat = mats[(player or 1) - 1]
+            return mat[quality - 1][loads[quality - 1] - 1].as_integer_ratio()
     elif kind is PaymentKind.PLAYER_INVARIANT_TABLE:
         inv = pf.invariant_table
         assert inv is not None
 
-        def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
-            return inv[(quality, tuple(loads))]
+        def pay(player: Optional[int], quality: int, loads: Key) -> Ratio:
+            return inv[(quality, tuple(loads))].as_integer_ratio()
     elif pf.profile_table is not None:
         by_profile = pf.profile_table
 
-        def pay(player: Optional[int], quality: int, profile: Key) -> Fraction:
-            return by_profile[(player, tuple(profile))]
+        def pay(player: Optional[int], quality: int, profile: Key) -> Ratio:
+            return by_profile[(player, tuple(profile))].as_integer_ratio()
     else:
         by_loads = pf.loads_table
         assert by_loads is not None
 
-        def pay(player: Optional[int], quality: int, loads: Key) -> Fraction:
-            return by_loads[(player, quality, tuple(loads))]
+        def pay(player: Optional[int], quality: int, loads: Key) -> Ratio:
+            return by_loads[(player, quality, tuple(loads))].as_integer_ratio()
     return pay
 
 
@@ -338,7 +325,7 @@ def evaluate_payment(game: "ContestGame", profile: Profile, player: int) -> Frac
     validate_profile(game, profile)
     if not isinstance(player, int) or not 1 <= player <= game.n:
         raise GameValidationError(f"player {player!r} outside 1..{game.n}")
-    return payer(game)(player, profile[player - 1], _payment_key(game, profile))
+    return Fraction(*payer(game)(player, profile[player - 1], _payment_key(game, profile)))
 
 
 def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fraction:
@@ -349,7 +336,7 @@ def payment_on_loads(game: "ContestGame", quality: int, loads: Loads) -> Fractio
     """
     _require_invariant(game, "payment_on_loads")
     _check_key(game, quality, loads)
-    return payer(game)(None, quality, loads)
+    return Fraction(*payer(game)(None, quality, loads))
 
 
 def specific_payment_on_loads(game: "ContestGame", player: int, quality: int,
@@ -359,7 +346,7 @@ def specific_payment_on_loads(game: "ContestGame", player: int, quality: int,
     if not isinstance(player, int) or not 1 <= player <= game.n:
         raise GameValidationError(f"player {player!r} outside 1..{game.n}")
     _check_key(game, quality, loads)
-    return payer(game)(player, quality, loads)
+    return Fraction(*payer(game)(player, quality, loads))
 
 
 def _require_invariant(game: "ContestGame", caller: str) -> None:
@@ -418,8 +405,8 @@ def classify(game: "ContestGame", cap: int = DEFAULT_PROFILE_CAP) -> Classificat
             f"classify needs Q^n = {Q**n} profile checks, above the cap {cap}"
         )
     oblivious = invariant = True
-    own: dict[tuple[int, int, int], Fraction] = {}
-    shared: dict[tuple[int, Loads], Fraction] = {}
+    own: dict[tuple[int, int, int], Ratio] = {}
+    shared: dict[tuple[int, Loads], Ratio] = {}
     pay = payer(game)
     by_profile = game.payment.profile_table is not None
     for profile in product(range(1, Q + 1), repeat=n):
@@ -445,7 +432,7 @@ def payout_sum_bound_holds(game: "ContestGame", cap: int = DEFAULT_PROFILE_CAP) 
     by_profile = game.payment.profile_table is not None
     for profile in product(range(1, Q + 1), repeat=n):
         key = profile if by_profile else load_of(profile, Q)
-        total = sum((pay(i, profile[i - 1], key) for i in range(1, n + 1)), ZERO)
+        total = sum((Fraction(*pay(i, q, key)) for i, q in enumerate(profile, 1)), ZERO)
         if total > 1:
             return False
     return True

@@ -84,7 +84,7 @@ def build_potential_cache(game: ContestGame,
             loads = [0] * Q
             loads[q - 1] = m
             loads[other - 1] = n - m
-            row.append(row[-1] + pay(1, q, tuple(loads)))
+            row.append(row[-1] + Fraction(*pay(1, q, tuple(loads))))
         gamma.append(tuple(row))
     return PotentialCache(gamma=tuple(gamma))
 

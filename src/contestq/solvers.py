@@ -122,8 +122,9 @@ def _concavity_scan(game: ContestGame,
     Each (load vector L, player i) neighbourhood is decided on its own:
     the payments its inequalities read, pay(i, a, L) for every occupied a
     and pay(i, b, L - e_a + e_b) for every occupied a and b != a, are
-    read once and brought over the lcm of their denominators, and the
-    inequalities compare the resulting integers.  A load vector with one
+    read once as integer pairs and brought over the lcm of their
+    denominators, and the inequalities compare integers, with no
+    `Fraction` built per read.  A load vector with one
     occupied quality has no inequality and reads nothing.  Every key read
     is in the game, and tables are complete, so every read finds a payment.
     """
@@ -138,7 +139,7 @@ def _concavity_scan(game: ContestGame,
         reads = [((a - 1) * Q + b - 1, b, loads if a == b else _shift(loads, a, b))
                  for a in occupied for b in qualities]
         for i in players:
-            ratios = [pay(i, b, key).as_integer_ratio() for _, b, key in reads]
+            ratios = [pay(i, b, key) for _, b, key in reads]
             scale = lcm(*[den for _, den in ratios])
             grid = [0] * (Q * Q)
             for (slot, _, _), (num, den) in zip(reads, ratios):

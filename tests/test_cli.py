@@ -10,6 +10,7 @@ import pytest
 import contestq
 from contestq import build, random_game, save_game, serialize_game
 from contestq.cli import main, make_parser
+from contestq.instances import INSTANCE_IDS
 
 from conftest import alone_at_a_quality_game
 
@@ -176,6 +177,18 @@ def test_instance_emit_and_verify(tmp_path, capsys):
     code, out, _ = run(capsys, "instance", "ce1", "--verify")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+@pytest.mark.parametrize("iid", INSTANCE_IDS)
+def test_instance_with_degenerate_sizes_exits_cleanly(iid, capsys):
+    """Sizes outside the game's domain end in an `error:` line, never a traceback."""
+    for flag in ("--n", "--Q", "--k"):
+        for value in ("0", "1", "-2"):
+            for extra in ([], ["--verify"]):
+                argv = ["instance", iid, flag, value, *extra]
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1, 2), argv
+                assert (code == 2) == err.startswith("error: "), (argv, err)
 
 
 def test_instance_prints_game_json(capsys):

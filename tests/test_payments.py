@@ -26,8 +26,10 @@ from contestq import (
 )
 from contestq.errors import GameValidationError, PreconditionError
 from contestq.payments import (
+    PaymentKind,
     compositions,
     load_of,
+    payer,
     payout_sum_bound_holds,
     specific_payment_on_loads,
 )
@@ -335,6 +337,62 @@ def test_classify_agrees_with_the_definitions(kind, shape):
         seen.add(tuple(verdict))
     if shape == "player-quality-loads":
         assert (False, False) in seen
+
+
+def _defined_payment(game, i, profile):
+    """Player i's payment under `profile`, read off the definition of its kind."""
+    pf, q, efforts = game.payment, profile[i - 1], game.efforts
+    loads = load_of(profile, game.Q)
+    if pf.kind is PaymentKind.PROPORTIONAL:
+        total = sum(m * f for m, f in zip(loads, efforts))
+        return efforts[q - 1] / total if total else F(0)
+    if pf.kind in (PaymentKind.EQUAL_SHARING, PaymentKind.KTOP):
+        if pf.K is not None and q <= game.Q - pf.K:
+            return F(0)
+        c = normalization_constant_bruteforce(game, pf.kind.value)
+        return c * efforts[q - 1] / loads[q - 1]
+    if pf.matrix is not None:
+        return pf.matrix[q - 1][loads[q - 1] - 1]
+    if pf.matrices is not None:
+        return pf.matrices[i - 1][q - 1][loads[q - 1] - 1]
+    if pf.invariant_table is not None:
+        return pf.invariant_table[(q, loads)]
+    if pf.profile_table is not None:
+        return pf.profile_table[(i, profile)]
+    return pf.loads_table[(i, q, loads)]
+
+
+@pytest.mark.parametrize("kind,shape", CLASS_CASES)
+def test_payer_gives_each_payment_as_its_integer_ratio(kind, shape):
+    met = set()  # closed-form kinds whose zero-payment edge case was drawn
+    for seed in range(12):
+        rng = random.Random(f"payer/{kind}/{shape}/{seed}")
+        n, Q = rng.randint(2, 4), rng.randint(2, 3)
+        efforts = [F(0) if rng.random() < 0.5 else F(rng.randint(1, 5), rng.randint(1, 4))]
+        for _ in range(Q - 1):
+            efforts.append(efforts[-1] + F(rng.randint(1, 5), rng.randint(1, 4)))
+        game = make_game(n, Q, (1,) * n, efforts, _seeded_payment(rng, n, Q, kind, shape))
+        pay = payer(game)
+        by_profile = game.payment.profile_table is not None
+        for profile in product(game.qualities(), repeat=n):
+            key = profile if by_profile else load_of(profile, Q)
+            for i, q in enumerate(profile, 1):
+                got = pay(i, q, key)
+                want = F(_defined_payment(game, i, profile)).as_integer_ratio()
+                assert got == want and got[1] > 0, (seed, i, profile)
+        occupied = [(q, v) for v in compositions(n, Q) for q in range(1, Q + 1) if v[q - 1]]
+        if kind == "proportional" and efforts[0] == 0:  # everyone at quality 1
+            met.add(kind)
+            assert pay(None, 1, (n,) + (0,) * (Q - 1)) == (0, 1)
+        if kind == "equal_sharing" and efforts[0] == 0:
+            met.add(kind)
+            assert all(pay(None, q, v) == (0, 1) for q, v in occupied if q == 1)
+        if kind == "ktop" and game.payment.K < Q:  # qualities 1..Q-K are unpaid
+            met.add(kind)
+            assert all(pay(None, q, v) == (0, 1) for q, v in occupied
+                       if q <= Q - game.payment.K)
+        assert classify(game) == _reference_classes(game), seed
+    assert met == {kind} & {"proportional", "equal_sharing", "ktop"}
 
 
 @pytest.mark.parametrize("kind,shape", CLASS_CASES)

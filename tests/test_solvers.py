@@ -293,6 +293,43 @@ def test_brute_force_reads_each_payment_once(seed, monkeypatch):
         assert reads and max(reads.values()) == 1
 
 
+def fractions_built(monkeypatch, action):
+    """(how many `Fraction` objects `action()` builds, its result)."""
+    built = 0
+    real_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real_new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", staticmethod(counting_new))
+        result = action()
+    return built, result
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
+def test_stable_builds_no_fraction_once_the_kernel_is_built(seed, monkeypatch):
+    for game in scaled_games(seed) + (tie_games() if seed == 0 else []):
+        kernel = StabilityKernel(game)
+        profiles = list(product(game.qualities(), repeat=game.n))
+        built, verdicts = fractions_built(
+            monkeypatch, lambda: [kernel.stable(p) for p in profiles])
+        assert built == 0, game.payment.kind
+        assert verdicts == [not reference_improvements(game, p) for p in profiles]
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
+def test_analyze_graph_builds_one_fraction_per_edge(seed, monkeypatch):
+    """Past the kernel's own set-up (product costs, normalization constants),
+    the only `Fraction` a graph build makes is each edge's gain."""
+    for game in scaled_games(seed) + (tie_games() if seed == 0 else []):
+        setup, _ = fractions_built(monkeypatch, lambda: StabilityKernel(game))
+        built, analysis = fractions_built(monkeypatch, lambda: analyze_graph(game))
+        assert built == setup + analysis.edge_count, (game.payment.kind, analysis.mode)
+
+
 # --- concavity checkers ----------------------------------------------------
 
 def constant_specific_game(n=3, Q=2, values=(F(1, 8), F(1, 9), F(1, 12))):
