@@ -29,7 +29,6 @@ from .payments import (
     evaluate_payment,
     ktop,
     normalization_constant,
-    normalization_constant_bruteforce,
     oblivious_table,
     payment_on_loads,
     player_invariant_table,
@@ -66,7 +65,6 @@ from .solvers import (
     brute_force_pne,
     contigufy,
     contiguous_assignment,
-    contiguous_candidate_count,
     inversions,
     is_three_discrete_concave_invariant,
     is_three_discrete_concave_specific,

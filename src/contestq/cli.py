@@ -9,7 +9,8 @@ Profiles on the command line are comma-separated 1-indexed qualities
 ("1,2,2"); load vectors carry an "L:" prefix ("L:2,1,0").  Identical
 inputs and seed give byte-identical stdout; timing goes to stderr.
 The CONTESTQ_CAP environment variable overrides the default caps of
-10^6 profiles and 10^5 graph nodes.
+10^6 profiles for `solve --method brute` (as does --max-profiles) and
+10^5 nodes for `graph` (as does --max-nodes); no other command reads it.
 
 `main(argv)` may be called any number of times in one process: it
 builds its argument parser once and reuses it (see `make_parser`).
@@ -124,10 +125,10 @@ def _emit_none(fmt: str, method: str, candidates: int, message: str) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     game = load_game(args.game)
-    cap = _cap(DEFAULT_PROFILE_CAP, args.max_profiles)
     started = time.perf_counter()
     method = args.method
     if method == "brute":
+        cap = _cap(DEFAULT_PROFILE_CAP, args.max_profiles)
         result = brute_force_pne(game, find_all=args.all, cap=cap)
         found = result.found
         candidates = result.scanned
@@ -147,7 +148,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         found = solve_all_at_lowest(game)
         candidates = 1
     elif method == "potential":
-        found = potential_ascent(game, (1,) * game.n, cap=cap)
+        found = potential_ascent(game, (1,) * game.n)
         candidates = 1
     else:  # pragma: no cover - argparse choices guard this
         raise ContestError(f"unknown method {method!r}")
@@ -167,12 +168,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     game = load_game(args.game)
-    if args.profile_file:
+    if args.profile_file is not None:
         profile = load_profile(args.profile_file)
-    elif args.profile:
-        profile = parse_state(game, args.profile)
     else:
-        raise ContestError("verify needs --profile or --profile-file")
+        profile = parse_state(game, args.profile)
     verdict = is_pne(game, profile)
     if verdict:
         values = " ".join(map(format_rational, utilities(game, profile)))
@@ -206,7 +205,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     game = load_game(args.game)
-    mode = "anonymous" if args.anonymous else args.mode
+    mode = "anonymous" if args.anonymous else args.mode or "auto"
     max_nodes = _cap(DEFAULT_NODE_CAP, args.max_nodes)
     graph = build_improvement_graph(game, mode=mode, max_nodes=max_nodes)
     analysis = analyze_improvement_graph(graph)
@@ -266,9 +265,7 @@ def cmd_instance(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    game = load_game(args.game)
-    cap = _cap(DEFAULT_PROFILE_CAP, args.max_profiles)
-    verdict = classify(game, cap=cap)
+    verdict = classify(load_game(args.game))
     print(f"oblivious: {'yes' if verdict.oblivious else 'no'}")
     print(f"player-invariant: {'yes' if verdict.player_invariant else 'no'}")
     return 0
@@ -296,16 +293,19 @@ def make_parser() -> argparse.ArgumentParser:
     solve.add_argument("--all", action="store_true",
                        help="with brute: list every equilibrium")
     solve.add_argument("--format", default="text", choices=("text", "json"))
-    solve.add_argument("--max-profiles", type=int, default=None)
+    solve.add_argument("--max-profiles", type=int, default=None,
+                       help="cap on the profiles --method brute scans "
+                            "(default: CONTESTQ_CAP or 10^6)")
     solve.add_argument("--trust-concavity", action="store_true",
                        help="skip the three-discrete-concavity check")
 
     verify = sub.add_parser("verify", help="check whether a profile is a PNE")
     verify.add_argument("--game", required=True)
-    verify.add_argument("--profile", default=None,
-                        help="comma-separated qualities (1,2,2) or loads (L:2,1,0)")
-    verify.add_argument("--profile-file", default=None,
-                        help="JSON file with a 'profile' key (solve --format json output)")
+    given = verify.add_mutually_exclusive_group(required=True)
+    given.add_argument("--profile", default=None,
+                       help="comma-separated qualities (1,2,2) or loads (L:2,1,0)")
+    given.add_argument("--profile-file", default=None,
+                       help="JSON file with a 'profile' key (solve --format json output)")
 
     dynamics = sub.add_parser("dynamics", help="run an improvement path")
     dynamics.add_argument("--game", required=True)
@@ -318,12 +318,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser("graph", help="analyze the improvement graph")
     graph.add_argument("--game", required=True)
-    graph.add_argument("--mode", default="auto",
-                       choices=("auto", "profile", "anonymous"))
-    graph.add_argument("--anonymous", action="store_true",
-                       help="force the load-vector quotient")
+    mode = graph.add_mutually_exclusive_group()
+    mode.add_argument("--mode", default=None, choices=("auto", "profile", "anonymous"),
+                      help="default: auto")
+    mode.add_argument("--anonymous", action="store_true",
+                      help="force the load-vector quotient")
     graph.add_argument("--dot", default=None, help="write GraphViz output here")
-    graph.add_argument("--max-nodes", type=int, default=None)
+    graph.add_argument("--max-nodes", type=int, default=None,
+                       help="cap on the graph's nodes (default: CONTESTQ_CAP or 10^5)")
 
     concavity = sub.add_parser("concavity",
                                help="check three-discrete-concavity")
@@ -342,7 +344,6 @@ def make_parser() -> argparse.ArgumentParser:
     classify_p = sub.add_parser("classify",
                                 help="decide obliviousness / player-invariance")
     classify_p.add_argument("--game", required=True)
-    classify_p.add_argument("--max-profiles", type=int, default=None)
     return parser
 
 

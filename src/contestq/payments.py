@@ -8,9 +8,7 @@ tables keyed either by full profile or by own quality and load vector).
 `payer(game)` is the one lookup that turns any of them into a payment.
 
 Closed-form normalization constants for equal sharing and K-Top are the
-inverse of the largest achievable per-profile payout sum; a brute-force
-version over all load vectors is provided so tests can cross-check the
-closed form.
+inverse of the largest achievable per-profile payout sum.
 """
 
 from __future__ import annotations
@@ -18,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from math import comb, gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
-from .errors import CapExceededError, GameValidationError, PreconditionError
+from .errors import GameValidationError, PreconditionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .game import ContestGame
@@ -47,8 +44,6 @@ class PaymentKind(Enum):
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]  # Q rows (quality) x n cols (load)
-
-DEFAULT_PROFILE_CAP = 10**6  # most profiles any Q^n scan enumerates
 
 # the fields besides `kind` that each kind carries: exactly one of these sets
 _KIND_FIELDS = {
@@ -193,40 +188,23 @@ def load_of(profile: Profile, Q: int) -> Loads:
     return tuple(loads)
 
 
-def _eligible_from(game: "ContestGame", family: str, K: Optional[int]) -> int:
-    """How many of the lowest qualities `family` leaves unpaid: 0, or Q - K for K-Top."""
-    if family == "equal_sharing":
-        return 0
-    if family != "ktop":
-        raise PreconditionError(f"no normalization constant for family {family!r}")
-    if K is None and game.payment.kind is not PaymentKind.KTOP:
-        raise PreconditionError("K required for the K-Top constant")
-    return game.Q - (game.payment.K if K is None else K)
-
-
 def normalization_constant(game: "ContestGame", family: str,
                            K: Optional[int] = None) -> Fraction:
     """Exact inverse of the maximum payout sum for equal sharing or K-Top.
 
     For any profile the payout sum is the total effort of the occupied
-    eligible qualities, so the maximum is the sum of the min(n,
-    #eligible) largest eligible efforts.
+    eligible qualities (all of them, or K-Top's top K), so the maximum
+    is the sum of the min(n, #eligible) largest eligible efforts.
     """
-    return ONE / sum(game.efforts[_eligible_from(game, family, K):][-game.n:], ZERO)
-
-
-def normalization_constant_bruteforce(game: "ContestGame", family: str,
-                                      K: Optional[int] = None) -> Fraction:
-    """Same constant by enumerating all load vectors; the test oracle."""
-    eligible_from = _eligible_from(game, family, K)
-    best = ZERO
-    for loads in compositions(game.n, game.Q):
-        payout = sum(
-            (game.efforts[q] for q in range(eligible_from, game.Q) if loads[q] > 0),
-            ZERO,
-        )
-        best = max(best, payout)
-    return ONE / best
+    if family == "equal_sharing":
+        K = game.Q
+    elif family != "ktop":
+        raise PreconditionError(f"no normalization constant for family {family!r}")
+    elif K is None:
+        if game.payment.kind is not PaymentKind.KTOP:
+            raise PreconditionError("K required for the K-Top constant")
+        K = game.payment.K
+    return ONE / sum(game.efforts[game.Q - K:][-game.n:], ZERO)
 
 
 def compositions(n: int, Q: int):
@@ -386,8 +364,8 @@ class Classification(NamedTuple):
     player_invariant: bool
 
 
-def classify(game: "ContestGame", cap: int = DEFAULT_PROFILE_CAP) -> Classification:
-    """Decide the paper's two payment classes in one pass over every profile.
+def classify(game: "ContestGame") -> Classification:
+    """Decide the paper's two payment classes from the keys the payer reads.
 
     Oblivious: each player's payment is a function of their own quality
     q and its load L_q, so the payments at each key (i, q, L_q) agree.
@@ -397,42 +375,37 @@ def classify(game: "ContestGame", cap: int = DEFAULT_PROFILE_CAP) -> Classificat
     vectors L, L' with L_q = L'_q >= 1, any player i can hold q at
     either, so pay(q, L) = pay_i(q, L_q) = pay(q, L').
 
-    Stops once both fail; refuses when Q^n exceeds `cap`.
+    Every key (i, q, L) with L_q >= 1 is some profile's (put i at q and
+    spread the rest of L over the others), so the walk reads the payer
+    at those keys only, with player None if the payment is declared
+    player-invariant, or at a profile-keyed table's own entries.  Kinds
+    declared oblivious read nothing: per-player matrices are invariant
+    exactly when equal, as every entry is read for every player.  The
+    walk stops once every class still open has failed, so it needs no
+    cap: a table is read at most once per key, and proportional
+    allocation reads O(n) keys (2n at Q = 2, at most 2(n + 3) above).
     """
-    n, Q = game.n, game.Q
-    if Q**n > cap:
-        raise CapExceededError(
-            f"classify needs Q^n = {Q**n} profile checks, above the cap {cap}"
-        )
+    pf = game.payment
+    if pf.declared_oblivious:
+        mats = pf.matrices or ()
+        return Classification(True, all(mat == mats[0] for mat in mats))
+    declared = pf.declared_player_invariant
+    if pf.profile_table is not None:
+        keys = ((i, prof[i - 1], prof, load_of(prof, game.Q)) for i, prof in pf.profile_table)
+    else:
+        players = (None,) if declared else game.players()
+        keys = ((i, q, loads, loads) for loads in compositions(game.n, game.Q)
+                for q in game.qualities() if loads[q - 1] for i in players)
     oblivious = invariant = True
-    own: dict[tuple[int, int, int], Ratio] = {}
+    own: dict[tuple[Optional[int], int, int], Ratio] = {}
     shared: dict[tuple[int, Loads], Ratio] = {}
     pay = payer(game)
-    by_profile = game.payment.profile_table is not None
-    for profile in product(range(1, Q + 1), repeat=n):
-        loads = load_of(profile, Q)
-        key = profile if by_profile else loads
-        for i, q in enumerate(profile, 1):
-            value = pay(i, q, key)
-            if oblivious and own.setdefault((i, q, loads[q - 1]), value) != value:
-                oblivious = False
-            if invariant and shared.setdefault((q, loads), value) != value:
-                invariant = False
-        if not oblivious and not invariant:
+    for i, q, key, loads in keys:
+        value = pay(i, q, key)
+        if oblivious and own.setdefault((i, q, loads[q - 1]), value) != value:
+            oblivious = False
+        if not declared and invariant and shared.setdefault((q, loads), value) != value:
+            invariant = False
+        if not oblivious and (declared or not invariant):
             break
     return Classification(oblivious=oblivious, player_invariant=invariant)
-
-
-def payout_sum_bound_holds(game: "ContestGame", cap: int = DEFAULT_PROFILE_CAP) -> bool:
-    """Exhaustively check the normalization condition: payouts sum to <= 1."""
-    n, Q = game.n, game.Q
-    if Q**n > cap:
-        raise CapExceededError("profile space above cap")
-    pay = payer(game)
-    by_profile = game.payment.profile_table is not None
-    for profile in product(range(1, Q + 1), repeat=n):
-        key = profile if by_profile else load_of(profile, Q)
-        total = sum((Fraction(*pay(i, q, key)) for i, q in enumerate(profile, 1)), ZERO)
-        if total > 1:
-            return False
-    return True

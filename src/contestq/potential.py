@@ -23,25 +23,22 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .game import ContestGame, Profile, StabilityKernel, load_of, validate_profile
-from .payments import DEFAULT_PROFILE_CAP, classify, payer
+from .payments import classify, payer
 
 ZERO = Fraction(0)
 
 
-def require_exact_potential(game: ContestGame, cap: int = DEFAULT_PROFILE_CAP) -> None:
+def require_exact_potential(game: ContestGame) -> None:
     """Check that the game's payment is player-invariant and oblivious.
 
-    Declared closed-form kinds (equal sharing, K-Top, a shared oblivious
-    matrix) qualify structurally; anything else is decided by `classify`,
-    and its two classes together give one payment per (own quality, load
-    on it) for every player.  Games outside this class may have no pure
-    Nash equilibrium at all, so no exact potential can exist for them in
+    `classify` decides both, reading no payment for the kinds declared
+    so (equal sharing, K-Top, a shared oblivious matrix); its two
+    classes together give one payment per (own quality, load on it) for
+    every player.  Games outside this class may have no pure Nash
+    equilibrium at all, so no exact potential can exist for them in
     general.
     """
-    pf = game.payment
-    if pf.declared_player_invariant and pf.declared_oblivious:
-        return
-    verdict = classify(game, cap=cap)
+    verdict = classify(game)
     problems = []
     if not verdict.player_invariant:
         problems.append("not player-invariant")
@@ -64,13 +61,12 @@ class PotentialCache:
         return self.gamma[quality - 1][load]
 
 
-def build_potential_cache(game: ContestGame,
-                          cap: int = DEFAULT_PROFILE_CAP) -> PotentialCache:
+def build_potential_cache(game: ContestGame) -> PotentialCache:
     """Prefix sums of player 1's payments, one load vector per (quality, load).
 
     Needs payments keyed by load vector: profile-keyed tables raise.
     """
-    require_exact_potential(game, cap=cap)
+    require_exact_potential(game)
     if game.payment.profile_table is not None:
         raise PreconditionError(
             f"{game.payment.kind.value} payments are not a function of (quality, loads)")
@@ -104,17 +100,15 @@ def potential(game: ContestGame, profile: Profile,
     return total
 
 
-def potential_ascent(game: ContestGame, start: Profile,
-                     cap: int = DEFAULT_PROFILE_CAP) -> Profile:
+def potential_ascent(game: ContestGame, start: Profile) -> Profile:
     """Follow first-improving deviations until no player can gain.
 
     Deviations are scanned players-in-index-order, target qualities
     ascending; each step strictly increases the potential, so the walk
     stops within the number of profiles.  The fixed point is a pure
-    Nash equilibrium by construction.  `cap` bounds the profile scan of
-    `require_exact_potential`.
+    Nash equilibrium by construction.
     """
-    require_exact_potential(game, cap=cap)
+    require_exact_potential(game)
     validate_profile(game, start)
     kernel = StabilityKernel(game)
     profile = tuple(start)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import CapExceededError, ContigufyError, PreconditionError
@@ -43,7 +43,6 @@ from .game import (
     load_of,
 )
 from .payments import (
-    DEFAULT_PROFILE_CAP,
     PaymentKind,
     _require_invariant,
     _require_loads_keyed,
@@ -58,6 +57,9 @@ class BruteForceResult:
     found: Optional[Profile]
     all: Optional[tuple[Profile, ...]]
     scanned: int
+
+
+DEFAULT_PROFILE_CAP = 10**6  # most profiles `brute_force_pne` enumerates
 
 
 def brute_force_pne(game: ContestGame, find_all: bool = False,
@@ -343,10 +345,6 @@ def _scan_candidates(game: ContestGame) -> SolveOutcome:
             f"fails the profile check: {verdict.witness}"
         )
     return SolveOutcome(assignment, len(candidates))
-
-
-def contiguous_candidate_count(n: int, Q: int) -> int:
-    return comb(n + Q - 1, Q - 1)
 
 
 # ---------------------------------------------------------------------------

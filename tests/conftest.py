@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -6,10 +8,15 @@ from contestq import (
     ContestGame,
     CostFunction,
     Participation,
+    compositions,
     equal_sharing,
     ktop,
+    load_of,
+    player_invariant_table,
+    player_specific_table,
     proportional,
 )
+from contestq.payments import payer
 
 
 def make_game(n, Q, skills, efforts, payment, cost=None):
@@ -47,11 +54,50 @@ def alone_at_a_quality_game():
     """Loads-keyed matching pennies: one shared payment when the two
     players meet, a payment of their own when alone.  Oblivious, not
     player-invariant, and without a pure Nash equilibrium."""
-    from contestq import compositions, player_specific_table
-
     alone = {1: F(0), 2: F(2)}
     table = {(i, q, v): F(1) if v[q - 1] == 2 else alone[i]
              for i in (1, 2) for q in (1, 2) for v in compositions(2, 2) if v[q - 1] > 0}
     zero_cost = CostFunction("table", ((F(0), F(0)), (F(0), F(0))))
     return make_game(2, 2, (1, 1), (0, 1), player_specific_table(loads_table=table),
                      cost=zero_cost)
+
+
+# --- definition-level oracles ------------------------------------------------
+
+def normalization_constant_bruteforce(game, family):
+    """`normalization_constant` by enumerating all load vectors: the
+    inverse of the largest payout sum, where equal sharing pays every
+    occupied quality and K-Top only the top K."""
+    unpaid = game.Q - game.payment.K if family == "ktop" else 0
+    return 1 / max(sum((game.efforts[q] for q in range(unpaid, game.Q) if loads[q]), F(0))
+                   for loads in compositions(game.n, game.Q))
+
+
+def payout_sum_bound_holds(game):
+    """The normalization condition, profile by profile: payouts sum to <= 1."""
+    pay = payer(game)
+    by_profile = game.payment.profile_table is not None
+    for profile in product(game.qualities(), repeat=game.n):
+        key = profile if by_profile else load_of(profile, game.Q)
+        if sum(F(*pay(i, q, key)) for i, q in enumerate(profile, 1)) > 1:
+            return False
+    return True
+
+
+def contiguous_candidate_count(n, Q):
+    """How many contiguous candidates there are: one per load vector."""
+    return comb(n + Q - 1, Q - 1)
+
+
+def beyond_cap_table_games(n=13, Q=3):
+    """Two oblivious table games with Q^n above the profile cap: a
+    player-invariant table, and a player-specific loads table that adds
+    i/100 to player i's payment, so it is not player-invariant."""
+    shared = {(q, v): F(q, Q * v[q - 1]) for v in compositions(n, Q)
+              for q in range(1, Q + 1) if v[q - 1]}
+    own = {(i, q, v): pay + F(i, 100) for (q, v), pay in shared.items()
+           for i in range(1, n + 1)}
+    efforts = tuple(range(1, Q + 1))
+    return {"invariant": make_game(n, Q, (1,) * n, efforts, player_invariant_table(shared)),
+            "specific": make_game(n, Q, (1,) * n, efforts,
+                                  player_specific_table(loads_table=own))}

@@ -24,7 +24,6 @@ from contestq import (
     build_potential_cache,
     check_no_switch_lemma,
     contigufy,
-    contiguous_candidate_count,
     inversions,
     is_pne,
     load_of,
@@ -38,6 +37,8 @@ from contestq import (
     solve_contiguous_specific,
     utility,
 )
+
+from conftest import contiguous_candidate_count
 
 SOLVERS = {"concave-specific": solve_contiguous_specific,
            "concave-invariant": solve_contiguous_invariant}

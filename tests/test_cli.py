@@ -12,7 +12,7 @@ from contestq import build, random_game, save_game, serialize_game
 from contestq.cli import main, make_parser
 from contestq.instances import INSTANCE_IDS
 
-from conftest import alone_at_a_quality_game
+from conftest import alone_at_a_quality_game, beyond_cap_table_games
 
 
 @pytest.fixture
@@ -229,26 +229,63 @@ def test_cap_env_var_respected(ce1_path, capsys, monkeypatch):
     assert "cap" in err
 
 
-def test_potential_ascent_respects_the_cap(tmp_path, capsys, monkeypatch):
+def test_the_profile_cap_bounds_only_brute_force(tmp_path, capsys, monkeypatch):
     from fractions import Fraction as F
     from contestq import compositions, player_invariant_table
     from conftest import make_game
 
-    # a table is not declared oblivious, so the ascent first classifies it
-    # over all Q^n = 9 profiles
+    # a table is not declared oblivious, so classify and the ascent walk its keys
     table = {(q, v): F(1, 3 * v[q - 1]) for v in compositions(2, 3)
              for q in (1, 2, 3) if v[q - 1] > 0}
     path = tmp_path / "invariant.json"
     save_game(make_game(2, 3, (1, 1), (1, 2, 3), player_invariant_table(table)), path)
     solve = ("solve", "--game", str(path), "--method")
-    assert run(capsys, *solve, "potential")[0] == 0
-    assert run(capsys, *solve, "potential", "--max-profiles", "4")[0] == 2
+    uncapped = {argv: run(capsys, *argv) for argv in (("classify", "--game", str(path)),
+                                                      (*solve, "potential"))}
+    assert [code for code, _, _ in uncapped.values()] == [0, 0]
+    assert run(capsys, *solve, "potential", "--max-profiles", "4")[:2] == \
+        uncapped[(*solve, "potential")][:2]
     monkeypatch.setenv("CONTESTQ_CAP", "4")
-    for argv in (("classify", "--game", str(path)), (*solve, "brute"),
-                 (*solve, "potential")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error:") and "cap" in err, argv
+    code, out, err = run(capsys, *solve, "brute")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "cap" in err
+    for argv, (code, out, _) in uncapped.items():
+        assert run(capsys, *argv)[:2] == (code, out), argv
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--game", str(path), "--max-profiles", "4"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --max-profiles" in captured.err
+
+
+def test_classify_and_potential_decide_tables_beyond_the_profile_cap(tmp_path, capsys):
+    paths = {}
+    for name, game in beyond_cap_table_games().items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_game(game, paths[name])
+    assert run(capsys, "classify", "--game", paths["invariant"])[:2] == \
+        (0, "oblivious: yes\nplayer-invariant: yes\n")
+    assert run(capsys, "classify", "--game", paths["specific"])[:2] == \
+        (0, "oblivious: yes\nplayer-invariant: no\n")
+    code, out, _ = run(capsys, "solve", "--game", paths["invariant"], "--method", "potential")
+    assert code == 0 and out.startswith("pure Nash equilibrium: ")
+    code, out, err = run(capsys, "solve", "--game", paths["specific"], "--method", "potential")
+    assert (code, out) == (2, "") and "not player-invariant" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--profile", "1,1", "--profile-file", "solution.json"],
+    ["verify"],
+    ["graph", "--anonymous", "--mode", "profile"],
+    ["graph", "--mode", "auto", "--anonymous"],
+])
+def test_conflicting_or_missing_flags_are_usage_errors(wow_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--game", wow_path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"usage: contestq {argv[0]}")
+    assert ("not allowed with argument" if len(argv) > 1 else "is required") in captured.err
 
 
 def test_non_integer_cap_env_var_is_usage_error(ce1_path, capsys, monkeypatch):
@@ -536,13 +573,16 @@ def test_help_prints_the_same_text_twice(argv, capsys):
     assert texts[0] == texts[1] and texts[0].startswith("usage: contestq")
 
 
-def test_a_fresh_process_matches_main_in_process(ce1_path, wow_path, capsys):
+def test_a_fresh_process_matches_main_in_process(ce1_path, wow_path, tmp_path, capsys):
     env = dict(os.environ)
     src = str(Path(contestq.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    table_path = str(tmp_path / "specific.json")  # 13 players: 3^13 profiles
+    save_game(beyond_cap_table_games()["specific"], table_path)
     for argv, want in ((["solve", "--game", wow_path, "--method", "brute"], 0),
                        (["solve", "--game", ce1_path, "--method", "brute"], 1),
-                       (["dynamics", "--game", ce1_path, "--max-steps", "-1"], 2)):
+                       (["dynamics", "--game", ce1_path, "--max-steps", "-1"], 2),
+                       (["classify", "--game", table_path], 0)):
         shell = subprocess.run([sys.executable, "-m", "contestq.cli", *argv],
                                capture_output=True, text=True, env=env, timeout=60)
         code, out, _ = run(capsys, *argv)

@@ -11,7 +11,9 @@ from contestq import (
     random_game,
     verify_certificate,
 )
-from contestq.payments import PaymentKind, payout_sum_bound_holds
+from contestq.payments import PaymentKind
+
+from conftest import payout_sum_bound_holds
 
 
 def test_counterexample1_numbers():

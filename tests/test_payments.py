@@ -7,14 +7,12 @@ from itertools import product
 import pytest
 
 from contestq import (
-    CapExceededError,
     build,
     classify,
     equal_sharing,
     evaluate_payment,
     ktop,
     normalization_constant,
-    normalization_constant_bruteforce,
     oblivious_table,
     payment_on_loads,
     player_invariant_table,
@@ -24,17 +22,23 @@ from contestq import (
     utilities,
     utility,
 )
+import contestq.payments as payments
 from contestq.errors import GameValidationError, PreconditionError
 from contestq.payments import (
     PaymentKind,
     compositions,
     load_of,
     payer,
-    payout_sum_bound_holds,
     specific_payment_on_loads,
 )
 
-from conftest import alone_at_a_quality_game, make_game
+from conftest import (
+    alone_at_a_quality_game,
+    beyond_cap_table_games,
+    make_game,
+    normalization_constant_bruteforce,
+    payout_sum_bound_holds,
+)
 
 
 def test_proportional_symmetric_profile(prop_2x2):
@@ -117,12 +121,6 @@ def test_classify_matching_pennies():
     verdict = classify(build("matching_pennies").game)
     assert not verdict.player_invariant
     assert verdict.oblivious
-
-
-def test_classify_cap():
-    game = make_game(2, 3, (1, 1), (1, 2, 3), proportional())
-    with pytest.raises(CapExceededError):
-        classify(game, cap=8)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -325,9 +323,11 @@ CLASS_CASES = [
 @pytest.mark.parametrize("kind,shape", CLASS_CASES)
 def test_classify_agrees_with_the_definitions(kind, shape):
     seen = set()
-    for seed in range(12):
+    for seed in range(20):
         rng = random.Random(f"{kind}/{shape}/{seed}")
-        n, Q = rng.randint(2, 4), rng.randint(2, 3)
+        # seeds 12..19 draw the larger shapes, up to 4^5 profiles
+        n, Q = (rng.randint(2, 4), rng.randint(2, 3)) if seed < 12 else \
+            (rng.randint(3, 5), rng.randint(3, 4))
         first = rng.randint(0, 1)  # voluntary or mandatory
         efforts = tuple(range(first, first + Q))
         payment = _seeded_payment(rng, n, Q, kind, shape)
@@ -337,6 +337,106 @@ def test_classify_agrees_with_the_definitions(kind, shape):
         seen.add(tuple(verdict))
     if shape == "player-quality-loads":
         assert (False, False) in seen
+
+
+TABLE_FIELDS = ("matrices", "invariant_table", "loads_table", "profile_table")
+
+
+@pytest.mark.parametrize("kind", ["oblivious", "player_invariant", "loads", "profile"])
+def test_classify_finds_one_changed_entry(kind):
+    # an oblivious, player-invariant table with one entry raised by 1/7
+    changed = 0
+    for seed in range(10):
+        rng = random.Random(f"changed/{kind}/{seed}")
+        n, Q = rng.randint(2, 4), rng.randint(2, 4)
+        efforts = tuple(range(1, Q + 1))
+        pf = _seeded_payment(rng, n, Q, kind, "quality-load")
+        field = next((f for f in TABLE_FIELDS if getattr(pf, f) is not None), None)
+        if field is None:
+            continue
+        if field == "matrices":
+            i, q, m = rng.randrange(n), rng.randrange(Q), rng.randrange(n)
+            mats = [[list(row) for row in mat] for mat in pf.matrices]
+            mats[i][q][m] += F(1, 7)
+            value = tuple(tuple(map(tuple, mat)) for mat in mats)
+        else:
+            table = dict(getattr(pf, field))
+            key = rng.choice(sorted(table))
+            table[key] += F(1, 7)
+            value = table
+        game = make_game(n, Q, (1,) * n, efforts, replace(pf, **{field: value}))
+        verdict = classify(game)
+        assert verdict == _reference_classes(game), (kind, seed)
+        changed += verdict != (True, True)
+    assert changed  # some seed's change flips a verdict
+
+
+def _count_reads(monkeypatch):
+    """Every key `classify` reads from the payer, in order."""
+    reads = []
+    real = payments.payer
+
+    def counting_payer(game):
+        pay = real(game)
+
+        def counted(*key):
+            reads.append(key)
+            return pay(*key)
+        return counted
+
+    monkeypatch.setattr(payments, "payer", counting_payer)
+    return reads
+
+
+@pytest.mark.parametrize("payment", [
+    equal_sharing(), ktop(2),
+    oblivious_table(matrix=((F(1), F(1, 3), F(1, 4)),) * 3),
+    oblivious_table(matrices=(((F(1), F(1, 3), F(1, 4)),) * 3,) * 2
+                    + (((F(1), F(1, 2), F(1, 4)),) * 3,)),
+], ids=["equal_sharing", "ktop", "shared-matrix", "per-player-matrices"])
+def test_classify_reads_no_payment_of_a_declared_oblivious_kind(payment, monkeypatch):
+    game = make_game(3, 3, (1, 1, 1), (1, 2, 3), payment)
+    want = _reference_classes(game)
+    reads = _count_reads(monkeypatch)
+    assert classify(game) == want == (True, payment.matrices is None)
+    assert reads == []
+
+
+@pytest.mark.parametrize("first", [0, 1])  # voluntary or mandatory
+def test_classify_reads_proportional_in_linear_time(first, monkeypatch):
+    n, Q = 40, 6
+    game = make_game(n, Q, (1,) * n, tuple(range(first, first + Q)), proportional())
+    reads = _count_reads(monkeypatch)
+    assert classify(game) == (False, True)
+    assert 0 < len(reads) <= 3 * (n + 3)
+    assert {player for player, _, _ in reads} == {None}
+
+
+@pytest.mark.parametrize("kind,shape", [case for case in CLASS_CASES
+                                        if case[0] in ("player_invariant", "loads",
+                                                       "profile")])
+def test_classify_reads_a_table_no_more_often_than_it_holds_keys(kind, shape,
+                                                               monkeypatch):
+    reads = _count_reads(monkeypatch)
+    for seed in range(6):
+        rng = random.Random(f"reads/{kind}/{shape}/{seed}")
+        n, Q = rng.randint(2, 5), rng.randint(2, 3)
+        pf = _seeded_payment(rng, n, Q, kind, shape)
+        game = make_game(n, Q, (1,) * n, tuple(range(1, Q + 1)), pf)
+        held = len(pf.invariant_table or pf.loads_table or pf.profile_table)
+        reads.clear()
+        classify(game)
+        assert 0 < len(reads) <= held and len(set(reads)) == len(reads), seed
+
+
+def test_classify_decides_tables_beyond_the_profile_cap(monkeypatch):
+    games = beyond_cap_table_games()
+    reads = _count_reads(monkeypatch)
+    assert classify(games["invariant"]) == (True, True)
+    assert len(reads) == len(games["invariant"].payment.invariant_table)
+    reads.clear()
+    assert classify(games["specific"]) == (True, False)
+    assert len(reads) == len(games["specific"].payment.loads_table)
 
 
 def _defined_payment(game, i, profile):

@@ -21,7 +21,6 @@ from contestq import (
     build_improvement_graph,
     contigufy,
     contiguous_assignment,
-    contiguous_candidate_count,
     equal_sharing,
     evaluate_payment,
     improvement_steps,
@@ -49,7 +48,7 @@ from contestq.dynamics import Edge, _pick_move, anonymous_mode_applicable
 from contestq.solvers import ConcavityViolation, concavity_report
 from contestq.payments import compositions
 
-from conftest import make_game
+from conftest import contiguous_candidate_count, make_game
 
 
 # --- brute force -----------------------------------------------------------
