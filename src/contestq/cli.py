@@ -31,6 +31,7 @@ from .dynamics import (
     PathStatus,
     analyze_improvement_graph,
     build_improvement_graph,
+    node_label,
     run_improvement_path,
     to_dot,
 )
@@ -46,8 +47,6 @@ from .solvers import (
     brute_force_pne,
     concavity_report,
     contiguous_assignment,
-    is_three_discrete_concave_invariant,
-    is_three_discrete_concave_specific,
     solve_all_at_lowest,
     solve_contiguous_invariant,
     solve_contiguous_specific,
@@ -212,8 +211,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(graph))
-    prefix = "L:" if analysis.mode == "anonymous" else ""
-    sinks = " ".join(prefix + ",".join(map(str, s)) for s in analysis.sinks)
+    sinks = " ".join(node_label(analysis.mode, s) for s in analysis.sinks)
     print(f"mode: {analysis.mode}; nodes: {analysis.node_count}; "
           f"edges: {analysis.edge_count}")
     print(f"sinks ({len(analysis.sinks)}): {sinks}")
@@ -221,20 +219,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
         print("acyclic: yes (finite improvement property holds)")
         return 0
     assert analysis.cycle_witness is not None
-    chain = " -> ".join(prefix + ",".join(map(str, p))
-                        for p in analysis.cycle_witness)
+    chain = " -> ".join(node_label(analysis.mode, p) for p in analysis.cycle_witness)
     print(f"acyclic: no; witness cycle: {chain}")
     return 1
 
 
 def cmd_concavity(args: argparse.Namespace) -> int:
-    game = load_game(args.game)
-    if args.form == "specific":
-        report = is_three_discrete_concave_specific(game)
-    elif args.form == "invariant":
-        report = is_three_discrete_concave_invariant(game)
-    else:
-        report = concavity_report(game)
+    report = concavity_report(load_game(args.game))
     if report:
         print("three-discrete-concave: yes")
         return 0
@@ -330,8 +321,6 @@ def make_parser() -> argparse.ArgumentParser:
     concavity = sub.add_parser("concavity",
                                help="check three-discrete-concavity")
     concavity.add_argument("--game", required=True)
-    concavity.add_argument("--form", default="auto",
-                           choices=("auto", "specific", "invariant"))
 
     instance = sub.add_parser("instance", help="emit or verify a catalog game")
     instance.add_argument("id", choices=INSTANCE_IDS)

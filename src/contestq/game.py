@@ -154,6 +154,20 @@ class ContestGame:
         return range(1, self.n + 1)
 
 
+def _product_game(n: int, Q: int, skills: tuple[Fraction, ...],
+                  efforts: tuple[Fraction, ...], payment: PaymentFunction) -> ContestGame:
+    """A game with product costs, voluntary exactly when f_1 = 0.
+
+    The slice leaves an empty `efforts` to `ContestGame`'s own Q check.
+    """
+    voluntary = efforts[:1] == (0,)
+    return ContestGame(
+        n=n, Q=Q, skills=skills, efforts=efforts,
+        participation=Participation.VOLUNTARY if voluntary else Participation.MANDATORY,
+        cost=CostFunction("product"), payment=payment,
+    )
+
+
 def utility(game: ContestGame, profile: Profile, player: int) -> Fraction:
     """Quasi-linear utility: payment minus skill-effort cost, exact."""
     pay = evaluate_payment(game, profile, player)  # checks profile and player

@@ -28,7 +28,7 @@ from .dynamics import (
     run_improvement_path,
 )
 from .errors import GameValidationError, PreconditionError
-from .game import ContestGame, CostFunction, Participation, Profile, is_pne
+from .game import ContestGame, Profile, _product_game, is_pne
 from .payments import (
     PaymentFunction,
     compositions,
@@ -88,23 +88,16 @@ def build(instance_id: str, *, k: int = 2, n: int = 3, Q: int = 3,
           efforts: Optional[tuple[Fraction, ...]] = None) -> NamedInstance:
     """Construct a catalog instance by id."""
     if instance_id == "ce1":
-        game = ContestGame(
-            n=2, Q=3, skills=(F(1, 3), F(1, 3)), efforts=(F(1), F(2), F(3)),
-            participation=Participation.MANDATORY, cost=CostFunction("product"),
-            payment=_winner_take_all_payment(2, 3),
-        )
+        game = _product_game(2, 3, (F(1, 3), F(1, 3)), (F(1), F(2), F(3)),
+                             _winner_take_all_payment(2, 3))
         return NamedInstance("ce1", {}, game)
     if instance_id == "ce2":
         if k < 2:
             raise PreconditionError("counterexample 2 needs k >= 2")
         s1 = 1 / (F(4 * k - 2) + F(1, k + 1))
         s2 = 1 / (F(4 * k + 2) + F(1, k + 1))
-        game = ContestGame(
-            n=2, Q=k + 1, skills=(s1, s2),
-            efforts=tuple(F(q) for q in range(1, k + 2)),
-            participation=Participation.MANDATORY, cost=CostFunction("product"),
-            payment=proportional(),
-        )
+        game = _product_game(2, k + 1, (s1, s2), tuple(F(q) for q in range(1, k + 2)),
+                             proportional())
         return NamedInstance("ce2", {"k": k}, game)
     if instance_id == "matching_pennies":
         big, small = F(1000), F(10)
@@ -113,27 +106,16 @@ def build(instance_id: str, *, k: int = 2, n: int = 3, Q: int = 3,
             diagonal = prof[0] == prof[1]
             table[(1, prof)] = big if diagonal else small
             table[(2, prof)] = small if diagonal else big
-        game = ContestGame(
-            n=2, Q=2, skills=(F(1), F(1)), efforts=(F(1), F(2)),
-            participation=Participation.MANDATORY, cost=CostFunction("product"),
-            payment=player_specific_table(profile_table=table),
-        )
+        game = _product_game(2, 2, (F(1), F(1)), (F(1), F(2)),
+                             player_specific_table(profile_table=table))
         return NamedInstance("matching_pennies", {}, game)
     if instance_id == "fip_voluntary":
-        game = ContestGame(
-            n=n, Q=Q, skills=(F(1),) * n,
-            efforts=tuple(F(q - 1) for q in range(1, Q + 1)),
-            participation=Participation.VOLUNTARY, cost=CostFunction("product"),
-            payment=proportional(),
-        )
+        game = _product_game(n, Q, (F(1),) * n, tuple(F(q - 1) for q in range(1, Q + 1)),
+                             proportional())
         return NamedInstance("fip_voluntary", {"n": n, "Q": Q}, game)
     if instance_id == "fip_mandatory":
-        game = ContestGame(
-            n=n, Q=Q, skills=(F(1),) * n,
-            efforts=tuple(F(q) for q in range(1, Q + 1)),
-            participation=Participation.MANDATORY, cost=CostFunction("product"),
-            payment=proportional(),
-        )
+        game = _product_game(n, Q, (F(1),) * n, tuple(F(q) for q in range(1, Q + 1)),
+                             proportional())
         return NamedInstance("fip_mandatory", {"n": n, "Q": Q}, game)
     if instance_id == "natasa":
         efforts_t = efforts if efforts is not None else tuple(
@@ -144,13 +126,11 @@ def build(instance_id: str, *, k: int = 2, n: int = 3, Q: int = 3,
             raise PreconditionError(
                 f"natasa needs the effort normalization f2 >= 1 - 1/n = "
                 f"{1 - F(1, n)}; got f2 = {efforts_t[1]}")
+        if efforts_t[0] == 0:
+            raise GameValidationError("natasa needs mandatory participation, f_1 > 0")
         bound = efforts_t[1] / (efforts_t[1] - efforts_t[0])
         skills_t = skills if skills is not None else (bound,) * n
-        game = ContestGame(
-            n=n, Q=len(efforts_t), skills=skills_t, efforts=efforts_t,
-            participation=Participation.MANDATORY, cost=CostFunction("product"),
-            payment=proportional(),
-        )
+        game = _product_game(n, len(efforts_t), skills_t, efforts_t, proportional())
         return NamedInstance("natasa", {"n": n, "Q": len(efforts_t)}, game)
     raise PreconditionError(f"unknown instance {instance_id!r}; "
                             f"known: {', '.join(INSTANCE_IDS)}")
@@ -272,8 +252,7 @@ def _random_skills(rng: _random.Random, n: int, scale: Fraction) -> tuple[Fracti
 
 
 def _random_oblivious_invariant(rng: _random.Random, n: int, Q: int) -> ContestGame:
-    voluntary = rng.random() < 0.5
-    efforts = _random_efforts(rng, Q, voluntary)
+    efforts = _random_efforts(rng, Q, rng.random() < 0.5)
     # per-(quality, load) payments, then scale so payout sums stay <= 1
     matrix = [[F(rng.randint(0, 12), 12) for _ in range(n)] for _ in range(Q)]
     peak = max(
@@ -284,29 +263,18 @@ def _random_oblivious_invariant(rng: _random.Random, n: int, Q: int) -> ContestG
     if peak > 1:
         matrix = [[entry / peak for entry in row] for row in matrix]
     skills = _random_skills(rng, n, F(1, n * max(1, int(efforts[-1]))))
-    return ContestGame(
-        n=n, Q=Q, skills=skills, efforts=efforts,
-        participation=(Participation.VOLUNTARY if voluntary
-                       else Participation.MANDATORY),
-        cost=CostFunction("product"),
-        payment=oblivious_table(matrix=tuple(tuple(row) for row in matrix)),
-    )
+    return _product_game(n, Q, skills, efforts,
+                         oblivious_table(matrix=tuple(tuple(row) for row in matrix)))
 
 
 def _random_concave(rng: _random.Random, n: int, Q: int,
                     specific: bool) -> ContestGame:
     for _ in range(64):
-        voluntary = rng.random() < 0.4
-        efforts = _random_efforts(rng, Q, voluntary)
+        efforts = _random_efforts(rng, Q, rng.random() < 0.4)
         skills = _random_skills(rng, n, F(1, n * max(1, int(efforts[-1]))))
         denom = 4 * n
-        game = ContestGame(
-            n=n, Q=Q, skills=skills, efforts=efforts,
-            participation=(Participation.VOLUNTARY if voluntary
-                           else Participation.MANDATORY),
-            cost=CostFunction("product"),
-            payment=_affine_payment(rng, n, Q, denom, specific),
-        )
+        game = _product_game(n, Q, skills, efforts,
+                             _affine_payment(rng, n, Q, denom, specific))
         if concavity_report(game):
             return game
     raise PreconditionError(
@@ -355,13 +323,6 @@ def _affine_payment(rng: _random.Random, n: int, Q: int, denom: int,
 
 
 def _random_proportional(rng: _random.Random, n: int, Q: int) -> ContestGame:
-    voluntary = rng.random() < 0.5
-    efforts = _random_efforts(rng, Q, voluntary)
+    efforts = _random_efforts(rng, Q, rng.random() < 0.5)
     skills = _random_skills(rng, n, F(1, max(1, int(efforts[-1]))))
-    return ContestGame(
-        n=n, Q=Q, skills=skills, efforts=efforts,
-        participation=(Participation.VOLUNTARY if voluntary
-                       else Participation.MANDATORY),
-        cost=CostFunction("product"),
-        payment=proportional(),
-    )
+    return _product_game(n, Q, skills, efforts, proportional())

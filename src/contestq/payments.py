@@ -188,22 +188,17 @@ def load_of(profile: Profile, Q: int) -> Loads:
     return tuple(loads)
 
 
-def normalization_constant(game: "ContestGame", family: str,
-                           K: Optional[int] = None) -> Fraction:
-    """Exact inverse of the maximum payout sum for equal sharing or K-Top.
+def normalization_constant(game: "ContestGame") -> Fraction:
+    """Exact inverse of the maximum payout sum of an equal-sharing or K-Top game.
 
     For any profile the payout sum is the total effort of the occupied
-    eligible qualities (all of them, or K-Top's top K), so the maximum
-    is the sum of the min(n, #eligible) largest eligible efforts.
+    paid qualities (the top K, where equal sharing has K = Q), so the
+    maximum is the sum of the min(n, K) largest paid efforts.
     """
-    if family == "equal_sharing":
-        K = game.Q
-    elif family != "ktop":
-        raise PreconditionError(f"no normalization constant for family {family!r}")
-    elif K is None:
-        if game.payment.kind is not PaymentKind.KTOP:
-            raise PreconditionError("K required for the K-Top constant")
-        K = game.payment.K
+    kind = game.payment.kind
+    if kind not in (PaymentKind.EQUAL_SHARING, PaymentKind.KTOP):
+        raise PreconditionError(f"no normalization constant for {kind.value} payments")
+    K = game.payment.K or game.Q
     return ONE / sum(game.efforts[game.Q - K:][-game.n:], ZERO)
 
 
@@ -246,8 +241,8 @@ def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Ratio]:
             g = gcd(weight, total)
             return (weight // g, total // g)
     elif kind in (PaymentKind.EQUAL_SHARING, PaymentKind.KTOP):
-        c = normalization_constant(game, kind.value)
-        unpaid = 0 if pf.K is None else game.Q - pf.K  # K-Top pays the top K only
+        c = normalization_constant(game)
+        unpaid = game.Q - (pf.K or game.Q)  # K-Top pays the top K only
         shares = tuple((0, 1) if q <= unpaid else (c * f).as_integer_ratio()
                        for q, f in enumerate(efforts, 1))  # c * f_q in lowest terms
 

@@ -33,11 +33,11 @@ from typing import Mapping, Optional, Sequence
 from .errors import CapExceededError, ContigufyError, PreconditionError
 from .game import (
     ContestGame,
-    CostFunction,
     Loads,
     Participation,
     Profile,
     StabilityKernel,
+    _product_game,
     _shift,
     is_pne,
     load_of,
@@ -410,7 +410,6 @@ def reduce_from_normal_form(
     skills_t = tuple(skills) if skills is not None else (Fraction(1),) * n
     efforts_t = tuple(efforts) if efforts is not None else tuple(
         Fraction(s) for s in range(1, m + 1))
-    cost = CostFunction(kind="product")
     table: dict[tuple[int, Profile], Fraction] = {}
     for profile in product(range(1, m + 1), repeat=n):
         for i in range(1, n + 1):
@@ -420,10 +419,5 @@ def reduce_from_normal_form(
                     f"payoff table for player {i} misses profile {profile}")
             cost_here = skills_t[i - 1] * efforts_t[profile[i - 1] - 1]
             table[(i, profile)] = payoff + cost_here
-    participation = (Participation.VOLUNTARY if efforts_t[0] == 0
-                     else Participation.MANDATORY)
-    return ContestGame(
-        n=n, Q=m, skills=skills_t, efforts=efforts_t,
-        participation=participation, cost=cost,
-        payment=player_specific_table(profile_table=table),
-    )
+    return _product_game(n, m, skills_t, efforts_t,
+                         player_specific_table(profile_table=table))

@@ -165,9 +165,19 @@ def test_concavity_command(tmp_path, capsys):
 
     path2 = tmp_path / "mp.json"
     save_game(build("matching_pennies").game, path2)
-    code, _, err = run(capsys, "concavity", "--game", str(path2),
-                       "--form", "specific")
-    assert code == 2  # profile-keyed table: wrong key form
+    code, out, err = run(capsys, "concavity", "--game", str(path2))
+    assert (code, out) == (2, "")  # profile-keyed table: neither definition applies
+    assert err.startswith("error:")
+
+
+def test_concavity_takes_no_form_option(ce1_path, capsys):
+    """The payment's kind picks the definition, so there is nothing to choose."""
+    with pytest.raises(SystemExit) as exc:
+        main(["concavity", "--game", ce1_path, "--form", "specific"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: contestq")
+    assert "unrecognized arguments: --form" in captured.err
 
 
 def test_instance_emit_and_verify(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from contestq import (
+    GameValidationError,
     PreconditionError,
     build,
     classify,
@@ -65,6 +66,12 @@ def test_natasa_rejects_efforts_outside_the_normalization():
     # f2 = 1 - 1/n exactly is inside it, and the certificate holds
     at_edge = build("natasa", n=2, efforts=(F(1, 4), F(1, 2)))
     assert verify_certificate(at_edge).passed
+
+
+def test_natasa_rejects_voluntary_participation():
+    """The family is defined under mandatory participation: f_1 = 0 is refused."""
+    with pytest.raises(GameValidationError):
+        build("natasa", efforts=(0, 1, 2))
 
 
 def test_unknown_instance():

@@ -59,7 +59,7 @@ def test_equal_sharing_uses_normalization_constant(es_2x2):
 
 
 def test_es_constant_closed_form_vs_bruteforce(es_2x2):
-    closed = normalization_constant(es_2x2, "equal_sharing")
+    closed = normalization_constant(es_2x2)
     brute = normalization_constant_bruteforce(es_2x2, "equal_sharing")
     assert closed == brute == F(1, 3)
 
@@ -67,7 +67,7 @@ def test_es_constant_closed_form_vs_bruteforce(es_2x2):
 def test_es_constant_when_players_cover_all_qualities():
     # n >= Q: every quality occupiable at once, so the max is sum(f)
     game = make_game(3, 2, (1, 1, 1), (1, 2), equal_sharing())
-    closed = normalization_constant(game, "equal_sharing")
+    closed = normalization_constant(game)
     assert closed == normalization_constant_bruteforce(game, "equal_sharing")
     assert closed == F(1, 3)
 
@@ -77,7 +77,7 @@ def test_es_constant_when_players_cover_all_qualities():
 ])
 def test_es_constant_closed_form_matches_bruteforce(n, Q, efforts):
     game = make_game(n, Q, (1,) * n, efforts, equal_sharing())
-    assert normalization_constant(game, "equal_sharing") == \
+    assert normalization_constant(game) == \
         normalization_constant_bruteforce(game, "equal_sharing")
 
 
@@ -87,14 +87,18 @@ def test_es_constant_closed_form_matches_bruteforce(n, Q, efforts):
 ])
 def test_ktop_constant_closed_form_matches_bruteforce(n, Q, K, efforts):
     game = make_game(n, Q, (1,) * n, efforts, ktop(K))
-    assert normalization_constant(game, "ktop") == \
+    assert normalization_constant(game) == \
         normalization_constant_bruteforce(game, "ktop")
 
 
 def test_ktop_with_full_K_equals_equal_sharing_constant(es_2x2):
     game = make_game(2, 2, (1, 1), (1, 2), ktop(2))
-    assert normalization_constant(game, "ktop") == \
-        normalization_constant(es_2x2, "equal_sharing")
+    assert normalization_constant(game) == normalization_constant(es_2x2)
+
+
+def test_normalization_constant_needs_equal_sharing_or_ktop(prop_2x2):
+    with pytest.raises(PreconditionError, match="proportional"):
+        normalization_constant(prop_2x2)
 
 
 def test_ktop_pays_zero_below_threshold(ktop1_2x3):
