@@ -72,10 +72,15 @@ class CostFunction:
 
     def value(self, skill: Fraction, effort: Fraction, player: int, quality: int) -> Fraction:
         """Cost of `player` (1-indexed) writing a review of `quality`."""
+        return Fraction(*self.ratio(skill, effort, player, quality))
+
+    def ratio(self, skill: Fraction, effort: Fraction, player: int,
+              quality: int) -> tuple[int, int]:
+        """`value` as (numerator, denominator > 0), not always in lowest terms."""
         if self.kind == "product":
-            return skill * effort
+            return (skill.numerator * effort.numerator, skill.denominator * effort.denominator)
         assert self.table is not None
-        return self.table[player - 1][quality - 1]
+        return self.table[player - 1][quality - 1].as_integer_ratio()
 
 
 @dataclass(frozen=True)
@@ -238,17 +243,18 @@ class StabilityKernel:
     (player, quality, key).  Memos live in the instance, so build one
     kernel per game for a scan, a walk or a graph.
 
-    Payments arrive as integer pairs, utilities are kept as unreduced
-    integer pairs (numerator, positive denominator), and u_b > u_a is
-    decided exactly by cross-multiplying.  Once the kernel is built, only an
-    improving move's gain becomes a `Fraction`: `stable` builds none.
+    Payments and costs arrive as integer pairs, utilities are kept as
+    unreduced integer pairs (numerator, positive denominator), and u_b >
+    u_a is decided exactly by cross-multiplying.  Only the payer's set-up
+    and an improving move's gain build a `Fraction`: `stable` builds none.
     """
 
     def __init__(self, game: ContestGame) -> None:
         self._Q = game.Q
         self._qualities = game.qualities()
-        self._costs = tuple(tuple(game.cost_of(i, q).as_integer_ratio() for q in self._qualities)
-                            for i in game.players())
+        self._costs = tuple(tuple(game.cost.ratio(s, f, i, q)
+                                  for q, f in enumerate(game.efforts, 1))
+                            for i, s in enumerate(game.skills, 1))
         self._by_profile = game.payment.profile_table is not None
         self._payment = payer(game)
         self._shared: Optional[dict[tuple[int, tuple[int, ...]], tuple[int, int]]] = (

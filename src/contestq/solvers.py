@@ -16,21 +16,21 @@ negative are skipped.  The checkers are the ground truth gating the
 contiguous solvers and the contigufication procedure; the solvers'
 agreement with brute force on checker-certified instances is the
 module's master property.  They stay exact without `Fraction` sums:
-for each (load vector, player) the payments its inequalities read are
-brought over the lcm of their own denominators, and the inequalities
-compare integers.  The payment form a checker or solver accepts is
-tested in `payments`.
+each player's payments are read once, into one list of integers over a
+common denominator, and the inequalities compare integers.  The payment
+form a checker or solver accepts is tested in `payments`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, islice, product
 from math import lcm
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .errors import CapExceededError, ContigufyError, PreconditionError
+from .errors import CapExceededError, ContigufyError, GameValidationError, PreconditionError
 from .game import (
     ContestGame,
     Loads,
@@ -120,49 +120,83 @@ def _concavity_scan(game: ContestGame,
     player-invariant case.  Load vectors are taken in colex order, then
     players, then (q_i, q_k, q) as the inequalities are listed in the
     module docstring, and the first violated inequality is reported.
+    The swap inequality is symmetric in q_i and q_k, so it is tested once,
+    at q_i < q_k, which comes first in that order.
 
-    Each (load vector L, player i) neighbourhood is decided on its own:
-    the payments its inequalities read, pay(i, a, L) for every occupied a
-    and pay(i, b, L - e_a + e_b) for every occupied a and b != a, are
-    read once as integer pairs and brought over the lcm of their
-    denominators, and the inequalities compare integers, with no
-    `Fraction` built per read.  A load vector with one
-    occupied quality has no inequality and reads nothing.  Every key read
-    is in the game, and tables are complete, so every read finds a payment.
+    The neighbourhood of (L, i) reads, for every occupied a, the row
+    pay(i, b, L - e_a + e_b) over all b (b = a is L itself).  That row
+    depends on D = L - e_a alone, and each payment lies in exactly one
+    row, D = L' - e_b.  Each player keeps one list of integer payments
+    over a common denominator, Q slots per row, and each payment enters
+    it through `payer` once.  The list is filled in blocks of 1, 2, 4, ...
+    load vectors: before a block is checked, the rows it reads that no
+    earlier block read are added, and the list is rescaled only when
+    their denominators raise the lcm.  A neighbourhood's rows then come
+    from the list by one `itemgetter` call, and its inequalities compare
+    integers, with no `Fraction` built and no lcm taken.  A load vector
+    with one occupied quality has no inequality and reads nothing, and an
+    early violation reads only what the blocks up to it need.  Every key
+    read is in the game, and tables are complete, so every read finds a
+    payment.
+
+    The common denominator is the price of reading once: where payments
+    have many distinct denominators and the scan runs to the end, as
+    under proportional allocation at Q = 2, its integers grow long.
     """
-    n, Q = game.n, game.Q
+    Q = game.Q
     pay = payer(game)
     qualities = range(1, Q + 1)
-    for loads in compositions(n, Q):
-        occupied = [q for q in qualities if loads[q - 1] >= 1]
-        if len(occupied) < 2:
-            continue
-        # slot (a-1)*Q + (b-1) holds pay(i, b, L - e_a + e_b); a == b is L itself
-        reads = [((a - 1) * Q + b - 1, b, loads if a == b else _shift(loads, a, b))
-                 for a in occupied for b in qualities]
-        for i in players:
-            ratios = [pay(i, b, key) for _, b, key in reads]
-            scale = lcm(*[den for _, den in ratios])
-            grid = [0] * (Q * Q)
-            for (slot, _, _), (num, den) in zip(reads, ratios):
-                grid[slot] = num * (scale // den)
-            for q_i in occupied:
-                row_i = (q_i - 1) * Q - 1
-                base = grid[row_i + q_i]
-                for q_k in occupied:
-                    if q_k == q_i:
-                        continue
-                    row_k = (q_k - 1) * Q - 1
-                    # swap inequality: deviations into the partner's quality
-                    if grid[row_i + q_k] + grid[row_k + q_i] > base + grid[row_k + q_k]:
-                        return ConcavityReport(False, ConcavityViolation(
-                            i, loads, q_i, q_k, q_k))
-                    for q in qualities:
-                        if q == q_i or q == q_k:
+    vectors = compositions(game.n, Q)
+    rows: dict[Loads, int] = {}  # D -> r: slot Q*r + b - 1 holds pay(., b, D + e_b)
+    tables: list[list[int]] = [[] for _ in players]
+    scales = [1] * len(players)
+    size = 1
+    while block := list(islice(vectors, size)):
+        size *= 2
+        fresh: list[tuple[int, Loads]] = []  # (b, D + e_b) for each new row D
+        neighbourhoods = []
+        for loads in block:
+            occupied = tuple(compress(qualities, loads))
+            if len(occupied) < 2:
+                continue
+            slots: list[int] = []
+            for a in occupied:
+                row = loads[:a - 1] + (loads[a - 1] - 1,) + loads[a:]  # L - e_a
+                r = rows.get(row)
+                if r is None:
+                    r = rows[row] = len(rows)
+                    fresh += [(b, _shift(loads, a, b)) for b in qualities]
+                slots += range(Q * r, Q * r + Q)
+            neighbourhoods.append((loads, occupied, itemgetter(*slots)))
+        for t, i in enumerate(players):
+            ratios = [pay(i, b, key) for b, key in fresh]
+            scale = lcm(scales[t], *[den for _, den in ratios])
+            if scale != scales[t]:
+                factor = scale // scales[t]
+                tables[t] = [value * factor for value in tables[t]]
+                scales[t] = scale
+            tables[t] += [num * (scale // den) for num, den in ratios]
+        for loads, occupied, rows_of in neighbourhoods:
+            for i, table in zip(players, tables):
+                grid = rows_of(table)  # row r holds pay(i, b, L - e_a + e_b), a = occupied[r]
+                for r_i, q_i in enumerate(occupied):
+                    row_i = r_i * Q - 1
+                    base = grid[row_i + q_i]
+                    for r_k, q_k in enumerate(occupied):
+                        if q_k == q_i:
                             continue
-                        if grid[row_k + q] + grid[row_i + q] > 2 * base:
+                        row_k = r_k * Q - 1
+                        # swap inequality: deviations into the partner's quality
+                        if q_k > q_i and (grid[row_i + q_k] + grid[row_k + q_i]
+                                          > base + grid[row_k + q_k]):
                             return ConcavityReport(False, ConcavityViolation(
-                                i, loads, q_i, q_k, q))
+                                i, loads, q_i, q_k, q_k))
+                        for q in qualities:
+                            if q == q_i or q == q_k:
+                                continue
+                            if grid[row_k + q] + grid[row_i + q] > 2 * base:
+                                return ConcavityReport(False, ConcavityViolation(
+                                    i, loads, q_i, q_k, q))
     return ConcavityReport(True)
 
 
@@ -410,6 +444,10 @@ def reduce_from_normal_form(
     skills_t = tuple(skills) if skills is not None else (Fraction(1),) * n
     efforts_t = tuple(efforts) if efforts is not None else tuple(
         Fraction(s) for s in range(1, m + 1))
+    if len(skills_t) != n:
+        raise GameValidationError("skills must have one entry per player")
+    if len(efforts_t) != m:
+        raise GameValidationError("efforts must have one entry per quality")
     table: dict[tuple[int, Profile], Fraction] = {}
     for profile in product(range(1, m + 1), repeat=n):
         for i in range(1, n + 1):

@@ -11,6 +11,7 @@ from contestq import (
     CostFunction,
     ConcavityReport,
     Deviation,
+    GameValidationError,
     PaymentKind,
     Policy,
     PreconditionError,
@@ -44,9 +45,10 @@ from contestq import (
     utility,
 )
 import contestq.game as game_module
+import contestq.solvers as solvers_module
 from contestq.dynamics import Edge, _pick_move, anonymous_mode_applicable
 from contestq.solvers import ConcavityViolation, concavity_report
-from contestq.payments import compositions
+from contestq.payments import compositions, payer
 
 from conftest import contiguous_candidate_count, make_game
 
@@ -321,10 +323,13 @@ def test_stable_builds_no_fraction_once_the_kernel_is_built(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
 def test_analyze_graph_builds_one_fraction_per_edge(seed, monkeypatch):
-    """Past the kernel's own set-up (product costs, normalization constants),
-    the only `Fraction` a graph build makes is each edge's gain."""
+    """A kernel's set-up builds only the payer's (the normalization
+    constants), and past it the only `Fraction` a graph build makes is
+    each edge's gain."""
     for game in scaled_games(seed) + (tie_games() if seed == 0 else []):
-        setup, _ = fractions_built(monkeypatch, lambda: StabilityKernel(game))
+        setup, _ = fractions_built(monkeypatch, lambda: payer(game))
+        kernel, _ = fractions_built(monkeypatch, lambda: StabilityKernel(game))
+        assert kernel == setup, game.payment.kind
         built, analysis = fractions_built(monkeypatch, lambda: analyze_graph(game))
         assert built == setup + analysis.edge_count, (game.payment.kind, analysis.mode)
 
@@ -463,12 +468,55 @@ def coprime_closed_form_games(n, Q):
     return games
 
 
+# colex ranks past the gate's first block of two, and the first and last
+# ranks of its blocks of 4, 8 and 16 load vectors (ranks 3-6, 7-14, 15-30)
+PERTURBED_RANKS = (3, 4, 6, 7, 14, 15, 30)
+
+
+def perturbed_tables(seed):
+    """(rank, game): certified concave tables with one payment at the load
+    vector of colex rank `rank` lowered.  The payment is a base of the
+    inequalities at that load vector alone and sits on the greater side
+    everywhere else, so the table either still holds or first fails there."""
+    n, Q = KERNEL_SHAPES[seed % len(KERNEL_SHAPES)]
+    games = []
+    for q_count in sorted({Q, 3}):
+        vectors = list(compositions(n + 2, q_count))
+        for family in ("concave-specific", "concave-invariant"):
+            game = random_game(seed, n + 2, q_count, family)
+            for rank in (r for r in PERTURBED_RANKS if r < len(vectors)):
+                loads = vectors[rank]
+                q = max(q for q in game.qualities() if loads[q - 1])
+                if family == "concave-specific":
+                    table = dict(game.payment.loads_table)
+                    table[(1 + rank % game.n, q, loads)] -= 1
+                    payment = player_specific_table(loads_table=table)
+                else:
+                    payment = player_invariant_table(
+                        {**game.payment.invariant_table, (q, loads): F(0)})
+                games.append((rank, replace(game, payment=payment)))
+    return games
+
+
 def checked_games(seed):
     n, Q = KERNEL_SHAPES[seed % len(KERNEL_SHAPES)]
     games = kernel_games(seed)
     games += [random_game(seed, n + 1, q, family) for q in (2, 3, 4)
               for family in ("concave-specific", "concave-invariant")]
+    games += [game for _, game in perturbed_tables(seed)]
     return games + coprime_closed_form_games(n + 1, Q)
+
+
+def test_perturbed_tables_first_fail_at_every_perturbed_rank():
+    failed_at = {PaymentKind.PLAYER_SPECIFIC_TABLE: set(),
+                 PaymentKind.PLAYER_INVARIANT_TABLE: set()}
+    for seed in range(2 * len(KERNEL_SHAPES)):
+        for rank, game in perturbed_tables(seed):
+            report = concavity_report(game)
+            if not report:
+                assert report.violation.loads == list(compositions(game.n, game.Q))[rank]
+                failed_at[game.payment.kind].add(rank)
+    assert all(ranks == set(PERTURBED_RANKS) for ranks in failed_at.values())
 
 
 @pytest.mark.parametrize("seed", range(2 * len(KERNEL_SHAPES)))
@@ -487,7 +535,63 @@ def test_concavity_gate_matches_the_definition(seed):
         report = concavity_report(game)
         assert report == reference_concavity(game)
         verdicts.add(report.holds)
-    assert verdicts == ({True} if seed == 0 else {False, True})  # seed 0 draws no violation
+    assert verdicts == {False, True}
+
+
+def counting_gate_payer(monkeypatch):
+    """Patch the gate's `payer` to count reads per (player, quality, key)."""
+    reads = Counter()
+    real_payer = solvers_module.payer
+
+    def counting_payer(game):
+        pay = real_payer(game)
+
+        def read(player, quality, key):
+            reads[(player, quality, key)] += 1
+            return pay(player, quality, key)
+        return read
+
+    monkeypatch.setattr(solvers_module, "payer", counting_payer)
+    return reads
+
+
+@pytest.mark.parametrize("n,Q", [(2, 2), (9, 2), (3, 3), (6, 3), (4, 4), (5, 4)])
+def test_concavity_gate_reads_each_payment_once(n, Q, monkeypatch):
+    """A full scan of a certified table reads every payment exactly once."""
+    games = [random_game(n * Q, n, Q, family)
+             for family in ("concave-specific", "concave-invariant")]
+    reads = counting_gate_payer(monkeypatch)
+    for game in games:
+        reads.clear()
+        assert concavity_report(game)
+        players = game.players() if game.payment.loads_table is not None else [None]
+        assert set(reads) == {(i, q, loads) for i in players for q in game.qualities()
+                              for loads in compositions(n, Q) if loads[q - 1]}
+        assert max(reads.values()) == 1
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_concavity_gate_stops_reading_at_an_early_violation(n, monkeypatch):
+    """Proportional payments at Q = 4 fail at colex rank 1, inside the
+    scan's second block, which reads at most 2 * Q^2 payments."""
+    Q = 4
+    game = random_game(n, n, Q, "proportional")
+    reads = counting_gate_payer(monkeypatch)
+    report = concavity_report(game)
+    assert report.violation.loads == (n - 1, 1, 0, 0)
+    assert 0 < sum(reads.values()) <= 2 * Q * Q
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
+def test_concavity_gate_builds_no_fraction_past_the_payer(seed, monkeypatch):
+    for game in checked_games(seed):
+        try:
+            concavity_report(game)
+        except PreconditionError:
+            continue
+        setup, _ = fractions_built(monkeypatch, lambda: payer(game))
+        built, _ = fractions_built(monkeypatch, lambda: concavity_report(game))
+        assert built == setup, game.payment.kind
 
 
 # --- contigufication --------------------------------------------------------
@@ -755,6 +859,18 @@ def test_reduction_constant_payoffs_make_every_profile_pne():
     payoffs = [{p: F(5) for p in product((1, 2), repeat=2)} for _ in range(2)]
     game = reduce_from_normal_form(payoffs)
     assert len(brute_force_pne(game, find_all=True).all) == 4
+
+
+def test_reduction_rejects_too_few_skills():
+    payoffs = [{p: F(1) for p in product((1, 2, 3), repeat=2)} for _ in range(2)]
+    with pytest.raises(GameValidationError, match="skills"):
+        reduce_from_normal_form(payoffs, skills=(F(1),))
+
+
+def test_reduction_rejects_too_few_efforts():
+    payoffs = [{p: F(1) for p in product((1, 2, 3), repeat=2)} for _ in range(2)]
+    with pytest.raises(GameValidationError, match="efforts"):
+        reduce_from_normal_form(payoffs, efforts=(F(1),))
 
 
 def test_reduction_utility_identity_exhaustive():
