@@ -36,7 +36,6 @@ from .payments import (
     proportional,
 )
 from .potential import (
-    PotentialCache,
     build_potential_cache,
     potential,
     potential_ascent,

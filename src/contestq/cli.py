@@ -6,7 +6,8 @@ result (no equilibrium, cycle found, concavity fails, truncated walk);
 2 usage or precondition error.
 
 Profiles on the command line are comma-separated 1-indexed qualities
-("1,2,2"); load vectors carry an "L:" prefix ("L:2,1,0").  Identical
+("1,2,2"); load vectors carry an "L:" prefix ("L:2,1,0").  Each entry is
+a run of ASCII digits: no sign, space, underscore or other digit.  Identical
 inputs and seed give byte-identical stdout; timing goes to stderr.
 The CONTESTQ_CAP environment variable overrides the default caps of
 10^6 profiles for `solve --method brute` (as does --max-profiles) and
@@ -66,10 +67,12 @@ def _cap(default: int, override: Optional[int]) -> int:
 
 
 def parse_profile(text: str) -> Profile:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ContestError(f"bad profile {text!r}; expected e.g. 1,2,2") from None
+    """Comma-separated runs of ASCII digits ("1,2,2"); `int` alone would
+    also take signs, spaces, underscores and non-ASCII digits."""
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ContestError(f"bad profile {text!r}; expected e.g. 1,2,2")
+    return tuple(map(int, parts))
 
 
 def parse_state(game: ContestGame, text: str) -> Profile:
@@ -81,7 +84,7 @@ def parse_state(game: ContestGame, text: str) -> Profile:
     """
     if text.startswith("L:"):
         loads = parse_profile(text[2:])
-        if len(loads) != game.Q or sum(loads) != game.n or min(loads) < 0:
+        if len(loads) != game.Q or sum(loads) != game.n:
             raise ContestError(
                 f"bad load vector {text!r}: need {game.Q} non-negative "
                 f"entries summing to {game.n}"
@@ -185,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
     game = load_game(args.game)
-    start = parse_state(game, args.start) if args.start else (1,) * game.n
+    start = (1,) * game.n if args.start is None else parse_state(game, args.start)
     result = run_improvement_path(game, start, policy=args.policy,
                                   max_steps=args.max_steps, seed=args.seed)
     if result.status is PathStatus.CONVERGED:

@@ -230,15 +230,14 @@ class GraphAnalysis:
     edge_count: int
 
 
-def analyze_graph(game: ContestGame, mode: str = "auto",
-                  max_nodes: int = DEFAULT_NODE_CAP) -> GraphAnalysis:
-    """Exact DAG test plus sink enumeration.
+def analyze_graph(game: ContestGame, mode: str = "auto") -> GraphAnalysis:
+    """Exact DAG test plus sink enumeration, within `DEFAULT_NODE_CAP` nodes.
 
     Sinks of the improvement graph are exactly the pure Nash equilibria
     (equilibrium loads in anonymous mode).  The cycle witness, if any,
     comes from the first back edge of a three-color depth-first search.
     """
-    return analyze_improvement_graph(build_improvement_graph(game, mode, max_nodes))
+    return analyze_improvement_graph(build_improvement_graph(game, mode))
 
 
 def analyze_improvement_graph(graph: ImprovementGraph) -> GraphAnalysis:
@@ -291,19 +290,19 @@ class NoSwitchReport:
     boundary_state_clean: Optional[bool]  # voluntary only: (n-1, 1, 0, ...) has no 1<->2 step
 
 
-def check_no_switch_lemma(game: ContestGame, mode: str = "auto",
-                          max_nodes: int = DEFAULT_NODE_CAP) -> NoSwitchReport:
+def check_no_switch_lemma(game: ContestGame) -> NoSwitchReport:
     """Check that improvement steps only move the deviator strictly down.
 
     For proportional allocation this is the key structural fact behind
     acyclicity; the report also confirms that under voluntary
     participation the boundary state with n-1 players at quality 1 and
     one at quality 2 admits no improvement in either direction between
-    those two qualities.
+    those two qualities (anonymous graphs only).  It reads the graph
+    `build_improvement_graph(game)` builds.
     """
     if game.payment.kind is not PaymentKind.PROPORTIONAL:
         raise PreconditionError("the no-switch check targets proportional allocation")
-    graph = build_improvement_graph(game, mode, max_nodes)
+    graph = build_improvement_graph(game)
     violations = [e for u in graph.nodes for e in graph.edges[u]
                   if e.to_quality > e.from_quality]
     boundary: Optional[bool] = None

@@ -70,18 +70,6 @@ class CostFunction:
         elif self.table is not None:
             raise GameValidationError("product cost takes no table")
 
-    def value(self, skill: Fraction, effort: Fraction, player: int, quality: int) -> Fraction:
-        """Cost of `player` (1-indexed) writing a review of `quality`."""
-        return Fraction(*self.ratio(skill, effort, player, quality))
-
-    def ratio(self, skill: Fraction, effort: Fraction, player: int,
-              quality: int) -> tuple[int, int]:
-        """`value` as (numerator, denominator > 0), not always in lowest terms."""
-        if self.kind == "product":
-            return (skill.numerator * effort.numerator, skill.denominator * effort.denominator)
-        assert self.table is not None
-        return self.table[player - 1][quality - 1].as_integer_ratio()
-
 
 @dataclass(frozen=True)
 class ContestGame:
@@ -148,9 +136,16 @@ class ContestGame:
         return len(set(self.skills)) == 1
 
     def cost_of(self, player: int, quality: int) -> Fraction:
-        return self.cost.value(
-            self.skills[player - 1], self.efforts[quality - 1], player, quality
-        )
+        """Cost of `player` (1-indexed) writing a review of `quality`."""
+        return Fraction(*self.cost_ratio(player, quality))
+
+    def cost_ratio(self, player: int, quality: int) -> tuple[int, int]:
+        """`cost_of` as (numerator, denominator > 0), not always in lowest terms."""
+        if self.cost.table is not None:
+            return self.cost.table[player - 1][quality - 1].as_integer_ratio()
+        sn, sd = self.skills[player - 1].as_integer_ratio()
+        fn, fd = self.efforts[quality - 1].as_integer_ratio()
+        return sn * fn, sd * fd
 
     def qualities(self) -> range:
         return range(1, self.Q + 1)
@@ -252,9 +247,8 @@ class StabilityKernel:
     def __init__(self, game: ContestGame) -> None:
         self._Q = game.Q
         self._qualities = game.qualities()
-        self._costs = tuple(tuple(game.cost.ratio(s, f, i, q)
-                                  for q, f in enumerate(game.efforts, 1))
-                            for i, s in enumerate(game.skills, 1))
+        self._costs = tuple(tuple(game.cost_ratio(i, q) for q in self._qualities)
+                            for i in game.players())
         self._by_profile = game.payment.profile_table is not None
         self._payment = payer(game)
         self._shared: Optional[dict[tuple[int, tuple[int, ...]], tuple[int, int]]] = (

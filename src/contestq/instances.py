@@ -84,9 +84,11 @@ def _winner_take_all_payment(n: int, Q: int) -> PaymentFunction:
 
 
 def build(instance_id: str, *, k: int = 2, n: int = 3, Q: int = 3,
-          skills: Optional[tuple[Fraction, ...]] = None,
           efforts: Optional[tuple[Fraction, ...]] = None) -> NamedInstance:
-    """Construct a catalog instance by id."""
+    """Construct a catalog instance by id.
+
+    `natasa` gives every player the skill bound f2 / (f2 - f1).
+    """
     if instance_id == "ce1":
         game = _product_game(2, 3, (F(1, 3), F(1, 3)), (F(1), F(2), F(3)),
                              _winner_take_all_payment(2, 3))
@@ -129,8 +131,7 @@ def build(instance_id: str, *, k: int = 2, n: int = 3, Q: int = 3,
         if efforts_t[0] == 0:
             raise GameValidationError("natasa needs mandatory participation, f_1 > 0")
         bound = efforts_t[1] / (efforts_t[1] - efforts_t[0])
-        skills_t = skills if skills is not None else (bound,) * n
-        game = _product_game(n, len(efforts_t), skills_t, efforts_t, proportional())
+        game = _product_game(n, len(efforts_t), (bound,) * n, efforts_t, proportional())
         return NamedInstance("natasa", {"n": n, "Q": len(efforts_t)}, game)
     raise PreconditionError(f"unknown instance {instance_id!r}; "
                             f"known: {', '.join(INSTANCE_IDS)}")

@@ -17,12 +17,12 @@ therefore pure Nash equilibria and greedy ascent terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .dynamics import PathStatus, run_improvement_path
 from .errors import PreconditionError
-from .game import ContestGame, Profile, StabilityKernel, load_of, validate_profile
+from .game import ContestGame, Profile, load_of, validate_profile
 from .payments import classify, payer
 
 ZERO = Fraction(0)
@@ -51,20 +51,11 @@ def require_exact_potential(game: ContestGame) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PotentialCache:
-    """Per-quality prefix-sum tables gamma_q(m), m = 0..n."""
+def build_potential_cache(game: ContestGame) -> tuple[tuple[Fraction, ...], ...]:
+    """Per-quality prefix sums gamma_q(m), m = 0..n, of player 1's payments.
 
-    gamma: tuple[tuple[Fraction, ...], ...]
-
-    def quality_term(self, quality: int, load: int) -> Fraction:
-        return self.gamma[quality - 1][load]
-
-
-def build_potential_cache(game: ContestGame) -> PotentialCache:
-    """Prefix sums of player 1's payments, one load vector per (quality, load).
-
-    Needs payments keyed by load vector: profile-keyed tables raise.
+    One load vector per (quality, load) is read.  Needs payments keyed by
+    load vector: profile-keyed tables raise.
     """
     require_exact_potential(game)
     if game.payment.profile_table is not None:
@@ -82,39 +73,32 @@ def build_potential_cache(game: ContestGame) -> PotentialCache:
             loads[other - 1] = n - m
             row.append(row[-1] + Fraction(*pay(1, q, tuple(loads))))
         gamma.append(tuple(row))
-    return PotentialCache(gamma=tuple(gamma))
+    return tuple(gamma)
 
 
 def potential(game: ContestGame, profile: Profile,
-              cache: Optional[PotentialCache] = None) -> Fraction:
-    """The exact potential of a profile."""
+              cache: Optional[tuple[tuple[Fraction, ...], ...]] = None) -> Fraction:
+    """The exact potential of a profile; `cache` is `build_potential_cache(game)`."""
     if cache is None:
         cache = build_potential_cache(game)
     validate_profile(game, profile)
     loads = load_of(profile, game.Q)
-    total = ZERO
-    for q in game.qualities():
-        total += cache.quality_term(q, loads[q - 1])
+    total = sum((row[m] for row, m in zip(cache, loads)), ZERO)
     for k in game.players():
         total -= game.cost_of(k, profile[k - 1])
     return total
 
 
 def potential_ascent(game: ContestGame, start: Profile) -> Profile:
-    """Follow first-improving deviations until no player can gain.
+    """The end of the first-improving improvement path from `start`.
 
-    Deviations are scanned players-in-index-order, target qualities
-    ascending; each step strictly increases the potential, so the walk
-    stops within the number of profiles.  The fixed point is a pure
-    Nash equilibrium by construction.
+    Each step strictly increases the exact potential, so the walk
+    converges to a pure Nash equilibrium; anything else means the
+    potential is not exact and raises `AssertionError`.
     """
     require_exact_potential(game)
-    validate_profile(game, start)
-    kernel = StabilityKernel(game)
-    profile = tuple(start)
-    for _ in range(game.Q**game.n + 1):
-        step = next(kernel.improvements(profile), None)
-        if step is None:
-            return profile
-        profile = step.apply(profile)
-    raise AssertionError("ascent exceeded the profile count; potential not exact?")
+    walk = run_improvement_path(game, start)
+    if walk.status is not PathStatus.CONVERGED:
+        raise AssertionError(f"ascent ended in a {walk.status.value}; potential not exact?")
+    assert walk.profile is not None
+    return walk.profile

@@ -279,10 +279,11 @@ def inversions(game: ContestGame, profile: Profile) -> list[tuple[int, int]]:
 def contigufy(game: ContestGame, pne: Profile, check_concavity: bool = True) -> Profile:
     """Swap inversion pairs until the equilibrium is contiguous.
 
-    Each round swaps the earliest inversion witness with its earliest
-    partner; the load vector never changes and, for three-discrete-
-    concave payments, neither does equilibrium status.  The result is
-    re-verified and a failure raises instead of returning silently.
+    Each round swaps the first pair `inversions` returns: the earliest
+    inversion witness with its earliest partner.  The load vector never
+    changes and, for three-discrete-concave payments, neither does
+    equilibrium status.  The result is re-verified and a failure raises
+    instead of returning silently.
     """
     verdict = is_pne(game, pne)
     if not verdict:
@@ -292,12 +293,11 @@ def contigufy(game: ContestGame, pne: Profile, check_concavity: bool = True) -> 
     order = skill_order(game)
     profile = list(pne)
     for _ in range(game.n * game.n + 1):
-        swap = _earliest_inversion(game, order, profile)
-        if swap is None:
+        pairs = inversions(game, profile)
+        if not pairs:
             break
-        i, k = swap
-        profile[order[i] - 1], profile[order[k] - 1] = (
-            profile[order[k] - 1], profile[order[i] - 1])
+        i, k = (order[rank - 1] - 1 for rank in pairs[0])
+        profile[i], profile[k] = profile[k], profile[i]
     else:
         raise ContigufyError("inversion swaps did not terminate within n^2 rounds")
     result = tuple(profile)
@@ -308,16 +308,6 @@ def contigufy(game: ContestGame, pne: Profile, check_concavity: bool = True) -> 
             "swap broke the equilibrium; payments are not concave enough"
         )
     return result
-
-
-def _earliest_inversion(game: ContestGame, order: tuple[int, ...],
-                        profile: list[int]) -> Optional[tuple[int, int]]:
-    for a in range(game.n):
-        qa = profile[order[a] - 1]
-        for b in range(a + 1, game.n):
-            if qa > profile[order[b] - 1]:
-                return a, b
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +425,9 @@ def reduce_from_normal_form(
     n = len(payoffs)
     if n < 2:
         raise PreconditionError("need at least two players")
+    for i, table in enumerate(payoffs, 1):
+        if not table:
+            raise PreconditionError(f"payoff table for player {i} is empty")
     some_profile = next(iter(payoffs[0]))
     m = max(max(p) for table in payoffs for p in table)
     if m < 2:

@@ -446,6 +446,16 @@ def test_verify_accepts_load_vector_syntax(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["\u0661,\u0662", " 1,2", "1,2 ", "+1,2", "1_0,2",
+                                  "1,,2", "", "L:+2,0", "L: 2,0", "L:1_0,0"])
+@pytest.mark.parametrize("flag", ["verify --profile", "dynamics --start"])
+def test_profile_text_takes_only_ascii_digits(wow_path, flag, text, capsys):
+    command, option = flag.split()
+    code, out, err = run(capsys, command, "--game", wow_path, f"{option}={text}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad profile ")
+
+
 def test_solve_json_reports_none(ce1_path, capsys):
     code, out, _ = run(capsys, "solve", "--game", ce1_path,
                        "--method", "brute", "--format", "json")

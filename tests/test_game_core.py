@@ -129,6 +129,32 @@ def test_cost_table_monotonicity_warns_not_rejects():
     assert game.cost_of(1, 1) == 3
 
 
+@pytest.mark.parametrize("voluntary", [True, False])
+@pytest.mark.parametrize("kind", ["product", "table"])
+@pytest.mark.parametrize("seed", range(4))
+def test_cost_ratio_is_cost_of_as_an_integer_pair(kind, voluntary, seed):
+    import random
+
+    rng = random.Random(seed)
+    n, Q = 2 + seed % 3, 2 + seed % 2
+    efforts = [F(0) if voluntary else F(rng.randint(1, 5), rng.randint(1, 4))]
+    for _ in range(Q - 1):
+        efforts.append(efforts[-1] + F(rng.randint(1, 5), rng.randint(1, 4)))
+    skills = [F(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(n)]
+    rows = tuple(tuple(sorted([F(0)] * voluntary + [F(rng.randint(0, 9), rng.randint(1, 6))
+                                                    for _ in range(Q - voluntary)]))
+                 for _ in range(n))
+    cost = CostFunction("table", rows) if kind == "table" else None
+    game = make_game(n, Q, skills, efforts, proportional(), cost=cost)
+    for i in game.players():
+        for q in game.qualities():
+            num, den = game.cost_ratio(i, q)
+            expected = (rows[i - 1][q - 1] if kind == "table"
+                        else skills[i - 1] * efforts[q - 1])
+            assert den > 0
+            assert F(num, den) == game.cost_of(i, q) == expected
+
+
 def test_voluntary_cost_table_must_be_zero_at_quality_one():
     table = ((F(1), F(2)), (F(0), F(2)))
     with pytest.raises(GameValidationError):

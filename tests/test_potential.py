@@ -202,3 +202,62 @@ def test_proportional_two_qualities_is_a_potential_game():
                 utility(game, moved, i) - utility(game, profile, i)
     end = potential_ascent(game, (2, 2, 2))
     assert is_pne(game, end)
+
+
+def _exact_potential_games(seed):
+    """One seeded game of each class `require_exact_potential` admits."""
+    import random
+
+    from contestq import classify, compositions, ktop, player_invariant_table
+
+    rng = random.Random(seed)
+    n, Q = 2 + seed % 2, 2 + (seed // 2) % 2
+    skills = [F(rng.randint(1, 8), 8) for _ in range(n)]
+    efforts = [F(0) if seed % 3 else F(rng.randint(1, 3), 2)]
+    for _ in range(Q - 1):
+        efforts.append(efforts[-1] + F(rng.randint(1, 4), rng.choice((1, 2))))
+    by_load = [[F(rng.randint(0, 12), 12 * m) for m in range(1, n + 1)] for _ in range(Q)]
+    table = {(q, v): by_load[q - 1][v[q - 1] - 1]
+             for v in compositions(n, Q) for q in range(1, Q + 1) if v[q - 1] > 0}
+    games = {
+        "equal-sharing": make_game(n, Q, skills, efforts, equal_sharing()),
+        "ktop": make_game(n, Q, skills, efforts, ktop(rng.randint(1, Q))),
+        "shared-matrix": random_game(seed, n, Q, "oblivious-invariant"),
+        "invariant-table": make_game(n, Q, skills, efforts, player_invariant_table(table)),
+    }
+    assert classify(games["invariant-table"]) == (True, True)
+    return games
+
+
+def _first_improving_walk(game, start):
+    """First-improving walk read off `utility` alone: lowest player, then
+    lowest target quality."""
+    profile = start
+    while True:
+        moves = [moved for i, moved in deviations(game, profile)
+                 if utility(game, moved, i) > utility(game, profile, i)]
+        if not moves:
+            return profile
+        profile = moves[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ascent_is_the_first_improving_path(seed):
+    from contestq import run_improvement_path
+
+    for name, game in _exact_potential_games(seed).items():
+        for start in product(game.qualities(), repeat=game.n):
+            end = potential_ascent(game, start)
+            assert end == run_improvement_path(game, start).profile, (name, start)
+            assert end == _first_improving_walk(game, start), (name, start)
+
+
+def test_ascent_that_does_not_converge_raises(monkeypatch):
+    from importlib import import_module
+
+    # waive the class test: ce1's first-improving walk cycles, which no
+    # exact potential allows (`contestq.potential` is also a function)
+    module = import_module("contestq.potential")
+    monkeypatch.setattr(module, "require_exact_potential", lambda game: None)
+    with pytest.raises(AssertionError, match="potential not exact"):
+        potential_ascent(build("ce1").game, (1, 2))

@@ -861,6 +861,12 @@ def test_reduction_constant_payoffs_make_every_profile_pne():
     assert len(brute_force_pne(game, find_all=True).all) == 4
 
 
+@pytest.mark.parametrize("payoffs", [[{}, {}], [{(1, 1): F(1)}, {}]])
+def test_reduction_rejects_an_empty_payoff_table(payoffs):
+    with pytest.raises(PreconditionError, match="is empty"):
+        reduce_from_normal_form(payoffs)
+
+
 def test_reduction_rejects_too_few_skills():
     payoffs = [{p: F(1) for p in product((1, 2, 3), repeat=2)} for _ in range(2)]
     with pytest.raises(GameValidationError, match="skills"):
