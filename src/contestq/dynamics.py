@@ -104,7 +104,7 @@ def run_improvement_path(game: ContestGame, start: Profile,
     if max_steps is not None and max_steps < 0:
         raise PreconditionError(f"max_steps must be >= 0, got {max_steps}")
     validate_profile(game, start)
-    rng = _random.Random(seed)
+    rng = _random.Random(seed) if policy is Policy.RANDOM else None
     kernel = StabilityKernel(game)
     profile = tuple(start)
     seen: dict[Profile, int] = {profile: 0}
@@ -126,7 +126,7 @@ def run_improvement_path(game: ContestGame, start: Profile,
 
 
 def _pick_move(kernel: StabilityKernel, profile: Profile, policy: Policy,
-               rng: _random.Random) -> Optional[Deviation]:
+               rng: Optional[_random.Random]) -> Optional[Deviation]:
     moves = kernel.improvements(profile)
     if policy is Policy.FIRST_IMPROVING:
         return next(moves, None)

@@ -229,14 +229,15 @@ class StabilityKernel:
 
     Except under profile-keyed tables, a player's utility depends only
     on (player, own quality, load vector L), so whether player i gains
-    by leaving quality a depends on (i, a, L) alone.  Each utility is
-    computed once per (player, quality, key) and `stable` decides each
-    `stays(i, a, L)` once for every profile with loads L.  Under
-    profile-keyed tables the profile itself is the key.  Under declared
-    player-invariant payments each payment is read once per (quality,
-    key) and shared by every player; other payments are read once per
-    (player, quality, key).  Memos live in the instance, so build one
-    kernel per game for a scan, a walk or a graph.
+    by leaving quality a depends on (i, a, L) alone: `stays(i, a, L)`
+    compares Q utilities, each computed once per (player, quality, key).
+    Verdicts are not memoized, as brute force and the contiguous scan
+    each decide a (player, quality, L) at most once.  Under profile-keyed
+    tables the profile itself is the key.  Under declared player-invariant
+    payments each payment is read once per (quality, key) and shared by
+    every player; other payments are read once per (player, quality,
+    key).  Memos live in the instance, so build one kernel per game for a
+    scan, a walk or a graph.
 
     Payments and costs arrive as integer pairs, utilities are kept as
     unreduced integer pairs (numerator, positive denominator), and u_b >
@@ -254,22 +255,11 @@ class StabilityKernel:
         self._shared: Optional[dict[tuple[int, tuple[int, ...]], tuple[int, int]]] = (
             {} if game.payment.declared_player_invariant else None)
         self._utilities: dict[tuple[int, int, tuple[int, ...]], tuple[int, int]] = {}
-        self._stays: dict[tuple[int, int, Loads], bool] = {}
 
     def stable(self, profile: Profile) -> bool:
         """True iff `profile` is a pure Nash equilibrium."""
-        if self._by_profile:
-            return all(self.stays(i, a, profile) for i, a in enumerate(profile, 1))
-        loads = load_of(profile, self._Q)
-        memo = self._stays
-        for i, a in enumerate(profile, 1):
-            key = (i, a, loads)
-            ok = memo.get(key)
-            if ok is None:
-                ok = memo[key] = self.stays(i, a, loads)
-            if not ok:
-                return False
-        return True
+        key = profile if self._by_profile else load_of(profile, self._Q)
+        return all(self.stays(i, a, key) for i, a in enumerate(profile, 1))
 
     def improvements(self, profile: Profile) -> Iterator[Deviation]:
         """Every strictly improving unilateral move out of `profile`.
@@ -311,7 +301,7 @@ class StabilityKernel:
         """No switch of player i from quality a strictly gains at `key`.
 
         The same test as an empty `gains(i, a, key)`, written out because
-        profile scans call it on every memo miss.
+        every scan calls it for each (player, quality, key) it decides.
         """
         hn, hd = self._utility(i, a, key)
         moved = list(key)

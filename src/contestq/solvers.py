@@ -1,6 +1,7 @@
 """Equilibrium computation: brute force, concavity checks, contiguous search.
 
-Exhaustive profile enumeration costs Q^n.  For payments that satisfy
+Brute force searches all Q^n profiles, one load vector at a time
+except under profile-keyed tables.  For payments that satisfy
 the three-discrete-concavity inequalities, an equilibrium can be sought
 among contiguous assignments only: sort players by non-increasing
 skill, hand the first block to quality 1, the next to quality 2, and so
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, product
+from itertools import chain, combinations_with_replacement, compress, islice, product
 from math import lcm
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
@@ -64,30 +65,80 @@ DEFAULT_PROFILE_CAP = 10**6  # most profiles `brute_force_pne` enumerates
 
 def brute_force_pne(game: ContestGame, find_all: bool = False,
                     cap: int = DEFAULT_PROFILE_CAP) -> BruteForceResult:
-    """Scan all Q^n profiles for pure Nash equilibria.
+    """Search all Q^n profiles for pure Nash equilibria.
 
     Returns the first equilibrium in lexicographic profile order, and
-    with `find_all` the complete equilibrium set.  Each profile costs
-    O(n) memo reads on top of at most n*Q^2*C(n+Q-1, Q-1) utility
-    evaluations shared by the whole scan (see `StabilityKernel`);
-    profile-keyed tables cost one evaluation per (player, profile).
-    Utilities are integer pairs compared by cross-multiplication, and a
-    player-invariant payment is read once per (quality, load vector) for
-    all players.
+    with `find_all` the complete equilibrium set.  Except under
+    profile-keyed tables, the profiles are searched one load vector L at
+    a time, by `_stable_profiles`: at most n*Q*C(n+Q-1, Q-1) `stays`
+    tests, plus the branches they leave.  Load vectors come in ascending
+    order of their smallest profile 1^{L_1} 2^{L_2} ..., and the first-hit
+    search stops at the first whose smallest profile is not below the
+    least first equilibrium of those visited.  Profile-keyed tables cost
+    one `stable` test per profile: n*Q^n utility comparisons.
     """
     count = game.Q**game.n
     if count > cap:
         raise CapExceededError(f"{count} profiles exceed the cap {cap}")
     kernel = StabilityKernel(game)
-    hits: list[Profile] = []
-    for profile in product(game.qualities(), repeat=game.n):
-        if kernel.stable(profile):
-            if not find_all:
-                return BruteForceResult(profile, None, count)
-            hits.append(profile)
-    if find_all:
-        return BruteForceResult(hits[0] if hits else None, tuple(hits), count)
-    return BruteForceResult(None, None, count)
+    qualities = game.qualities()
+    by_loads = ((smallest, tuple(map(smallest.count, qualities)))
+                for smallest in combinations_with_replacement(qualities, game.n))
+    if game.payment.profile_table is not None:
+        hits = (p for p in product(qualities, repeat=game.n) if kernel.stable(p))
+        if not find_all:
+            return BruteForceResult(next(hits, None), None, count)
+        every = tuple(hits)
+    elif find_all:
+        every = tuple(sorted(chain.from_iterable(
+            _stable_profiles(kernel, loads) for _, loads in by_loads)))
+    else:
+        best = (game.Q + 1,) * game.n  # above every profile
+        for smallest, loads in by_loads:
+            if smallest >= best:
+                break
+            best = min([best, *_stable_profiles(kernel, loads, first=True)])
+        return BruteForceResult(best if best[0] <= game.Q else None, None, count)
+    return BruteForceResult(every[0] if every else None, every, count)
+
+
+def _stable_profiles(kernel: StabilityKernel, loads: Loads, first: bool = False) -> list[Profile]:
+    """The equilibria with load vector `loads` in lexicographic order, or the first.
+
+    Players are placed in index order, each trying the qualities with
+    room left in ascending order, and a branch is cut where the player
+    would leave the quality it tries, so each (player, quality) is
+    decided at most once.
+    """
+    n = sum(loads)
+    Q = len(loads)
+    room = list(loads)
+    choice = [0] * n
+    verdicts: list[Optional[bool]] = [None] * (n * Q)  # slot Q*(i-1) + a-1
+    found: list[Profile] = []
+
+    def place(i: int) -> bool:
+        """Place players i..n; True once the search may stop."""
+        if i > n:
+            found.append(tuple(choice))
+            return first
+        slot = Q * (i - 1) - 1
+        for a, left in enumerate(room, 1):
+            if left:
+                ok = verdicts[slot + a]
+                if ok is None:
+                    ok = verdicts[slot + a] = kernel.stays(i, a, loads)
+                if ok:
+                    room[a - 1] -= 1
+                    choice[i - 1] = a
+                    if place(i + 1):
+                        return True
+                    room[a - 1] += 1
+        return False
+
+    place(1)
+    del place  # a recursive closure is a cycle; break it so the kernel is freed now
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from contestq import (
     ContestGame,
     CostFunction,
+    Deviation,
     Participation,
     compositions,
     equal_sharing,
@@ -15,6 +16,7 @@ from contestq import (
     player_invariant_table,
     player_specific_table,
     proportional,
+    utility,
 )
 from contestq.payments import payer
 
@@ -63,6 +65,27 @@ def alone_at_a_quality_game():
 
 
 # --- definition-level oracles ------------------------------------------------
+
+def reference_improvements(game, profile):
+    """Every strictly improving switch, straight from `utility`."""
+    moves = []
+    for i in game.players():
+        here = utility(game, profile, i)
+        for q in game.qualities():
+            if q != profile[i - 1]:
+                moved = profile[: i - 1] + (q,) + profile[i:]
+                gain = utility(game, moved, i) - here
+                if gain > 0:
+                    moves.append(Deviation(i, q, gain))
+    return moves
+
+
+def reference_equilibria(game):
+    """Every pure Nash equilibrium, in lexicographic order, by scanning all
+    Q^n profiles for an improving switch."""
+    return [p for p in product(game.qualities(), repeat=game.n)
+            if not reference_improvements(game, p)]
+
 
 def normalization_constant_bruteforce(game, family):
     """`normalization_constant` by enumerating all load vectors: the

@@ -10,7 +10,6 @@ from contestq import (
     CapExceededError,
     CostFunction,
     ConcavityReport,
-    Deviation,
     GameValidationError,
     PaymentKind,
     Policy,
@@ -45,12 +44,19 @@ from contestq import (
     utility,
 )
 import contestq.game as game_module
+import contestq.payments as payments_module
 import contestq.solvers as solvers_module
 from contestq.dynamics import Edge, _pick_move, anonymous_mode_applicable
+from contestq.instances import FAMILIES
 from contestq.solvers import ConcavityViolation, concavity_report
 from contestq.payments import compositions, payer
 
-from conftest import contiguous_candidate_count, make_game
+from conftest import (
+    contiguous_candidate_count,
+    make_game,
+    reference_equilibria,
+    reference_improvements,
+)
 
 
 # --- brute force -----------------------------------------------------------
@@ -76,25 +82,6 @@ def test_brute_force_cap():
 
 
 # --- the deviation kernel against a scan written from the definition -------
-
-def reference_improvements(game, profile):
-    """Every strictly improving switch, straight from `utility`."""
-    moves = []
-    for i in game.players():
-        here = utility(game, profile, i)
-        for q in game.qualities():
-            if q != profile[i - 1]:
-                moved = profile[: i - 1] + (q,) + profile[i:]
-                gain = utility(game, moved, i) - here
-                if gain > 0:
-                    moves.append(Deviation(i, q, gain))
-    return moves
-
-
-def reference_equilibria(game):
-    return [p for p in product(game.qualities(), repeat=game.n)
-            if not reference_improvements(game, p)]
-
 
 def _small(rng, denom=4):
     # coarse values make ties, so strict comparisons matter
@@ -292,6 +279,59 @@ def test_brute_force_reads_each_payment_once(seed, monkeypatch):
         reads.clear()
         brute_force_pne(game, find_all=True)
         assert reads and max(reads.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
+def test_brute_force_decides_each_stay_once_and_never_counts_loads(seed, monkeypatch):
+    """Brute force walks load vectors, not profiles: under every loads-keyed
+    payment it asks `stays` at most once per (player, quality, load vector),
+    only at an occupied quality, and never counts a profile's loads."""
+    n, Q = KERNEL_SHAPES[seed]
+    games = [random_game(seed, n, Q, family) for family in FAMILIES]
+    games += scaled_games(seed) + (tie_games() if seed == 0 else [])
+    asked = Counter()
+    real_stays = StabilityKernel.stays
+
+    def counting_stays(kernel, i, a, key):
+        asked[(i, a, key)] += 1
+        return real_stays(kernel, i, a, key)
+
+    def no_load_of(profile, Q):
+        raise AssertionError(f"load_of{profile} called")
+
+    for game in games:
+        if game.payment.profile_table is not None:
+            continue
+        truth = reference_equilibria(game)
+        for find_all in (False, True):
+            asked.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(StabilityKernel, "stays", counting_stays)
+                for module in (game_module, solvers_module, payments_module):
+                    patch.setattr(module, "load_of", no_load_of)
+                res = brute_force_pne(game, find_all=find_all)
+            assert res.found == (truth[0] if truth else None)
+            assert res.all == (tuple(truth) if find_all else None)
+            assert asked and max(asked.values()) == 1, game.payment.kind
+            assert all(key[a - 1] >= 1 for _, a, key in asked)
+
+
+@pytest.mark.parametrize("seed, n, Q, before", [(0, 4, 3, True), (37, 3, 2, False)])
+def test_first_hit_is_the_least_equilibrium_over_the_load_vectors_visited(seed, n, Q, before):
+    """Load vectors are visited in the order of their smallest profiles, so
+    the first equilibrium found need not be the lexicographically first.
+    In the first game a load vector visited before the answer's holds a
+    larger equilibrium; in the second, one visited after the answer's, but
+    below it, holds only larger ones."""
+    game = random_game(seed, n, Q, "proportional")
+    truth = reference_equilibria(game)
+    first = truth[0]
+    least = {}  # load vector -> its least equilibrium
+    for profile in truth:
+        least.setdefault(load_of(profile, Q), profile)
+    visited = [p for p in least.values() if p != first and tuple(sorted(p)) < first]
+    assert any((tuple(sorted(p)) < tuple(sorted(first))) == before for p in visited)
+    assert brute_force_pne(game).found == brute_force_pne(game, find_all=True).all[0] == first
 
 
 def fractions_built(monkeypatch, action):
