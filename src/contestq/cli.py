@@ -3,7 +3,7 @@
 Commands: solve, verify, dynamics, graph, concavity, instance, classify.
 Exit codes: 0 success / equilibrium found / property holds; 1 negative
 result (no equilibrium, cycle found, concavity fails, truncated walk);
-2 usage or precondition error.
+2 usage, precondition or I/O error.
 
 Profiles on the command line are comma-separated 1-indexed qualities
 ("1,2,2"); load vectors carry an "L:" prefix ("L:2,1,0").  Each entry is
@@ -344,10 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except ContestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ContestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

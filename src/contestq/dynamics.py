@@ -15,6 +15,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from itertools import groupby, product
 from math import comb
@@ -31,7 +32,7 @@ from .game import (
     _shift,
     validate_profile,
 )
-from .payments import PaymentKind, compositions
+from .payments import PaymentKind, _payment_key, compositions
 
 Loads = tuple[int, ...]
 Node = tuple[int, ...]  # profile or load vector depending on mode
@@ -147,14 +148,26 @@ class Edge(NamedTuple):
     gain: Fraction
 
 
+def _edge(source: Node, move: tuple) -> Edge:
+    return Edge(source, *move[:4], Fraction(*move[4:]))
+
+
 @dataclass
 class ImprovementGraph:
+    """`moves[u]`: u's improving moves in edge order, each a tuple (target,
+    player, from_quality, to_quality, num, den) of gain num/den; `edges`
+    builds their `Edge`s on first read."""
+
     mode: str  # "profile" | "anonymous"
     nodes: list[Node]
-    edges: dict[Node, list[Edge]] = field(default_factory=dict)
+    moves: dict[Node, list[tuple]] = field(default_factory=dict)
+
+    @cached_property
+    def edges(self) -> dict[Node, list[Edge]]:
+        return {u: [_edge(u, m) for m in out] for u, out in self.moves.items()}
 
     def sinks(self) -> list[Node]:
-        return [u for u in self.nodes if not self.edges[u]]
+        return [u for u in self.nodes if not self.moves[u]]
 
 
 def anonymous_mode_applicable(game: ContestGame) -> bool:
@@ -196,10 +209,10 @@ def _build_profile(game: ContestGame, max_nodes: int) -> ImprovementGraph:
     graph = ImprovementGraph(mode="profile", nodes=nodes)
     kernel = StabilityKernel(game)
     for node in nodes:
-        graph.edges[node] = [
-            Edge(node, step.apply(node), step.player, node[step.player - 1],
-                 step.quality, step.gain)
-            for step in kernel.improvements(node)]
+        key = _payment_key(game, node)
+        graph.moves[node] = [
+            (node[:i - 1] + (b,) + node[i:], i, a, b, num, den)
+            for i, a in enumerate(node, 1) for b, num, den in kernel.gains(i, a, key)]
     return graph
 
 
@@ -213,10 +226,10 @@ def _build_anonymous(game: ContestGame, max_nodes: int) -> ImprovementGraph:
     graph = ImprovementGraph(mode="anonymous", nodes=nodes)
     kernel = StabilityKernel(game)  # players are interchangeable: ask player 1
     for loads in nodes:
-        graph.edges[loads] = [
-            Edge(loads, _shift(loads, a, b), None, a, b, gain)
+        graph.moves[loads] = [
+            (_shift(loads, a, b), None, a, b, num, den)
             for a in game.qualities() if loads[a - 1]
-            for b, gain in kernel.gains(1, a, loads)]
+            for b, num, den in kernel.gains(1, a, loads)]
     return graph
 
 
@@ -249,7 +262,7 @@ def analyze_improvement_graph(graph: ImprovementGraph) -> GraphAnalysis:
         sinks=sorted(graph.sinks()),
         cycle_witness=witness,
         node_count=len(graph.nodes),
-        edge_count=sum(len(v) for v in graph.edges.values()),
+        edge_count=sum(map(len, graph.moves.values())),
     )
 
 
@@ -265,10 +278,10 @@ def find_cycle(graph: ImprovementGraph) -> Optional[list[Node]]:
         color[root] = GRAY
         while stack:
             node, idx = stack[-1]
-            outs = graph.edges[node]
+            outs = graph.moves[node]
             if idx < len(outs):
                 stack[-1] = (node, idx + 1)
-                nxt = outs[idx].target
+                nxt = outs[idx][0]
                 if color[nxt] == GRAY:
                     at = order.index(nxt)
                     return order[at:] + [nxt]
@@ -303,12 +316,12 @@ def check_no_switch_lemma(game: ContestGame) -> NoSwitchReport:
     if game.payment.kind is not PaymentKind.PROPORTIONAL:
         raise PreconditionError("the no-switch check targets proportional allocation")
     graph = build_improvement_graph(game)
-    violations = [e for u in graph.nodes for e in graph.edges[u]
-                  if e.to_quality > e.from_quality]
+    violations = [_edge(u, m) for u in graph.nodes for m in graph.moves[u]
+                  if m[3] > m[2]]
     boundary: Optional[bool] = None
     if game.participation is Participation.VOLUNTARY and graph.mode == "anonymous":
         state = (game.n - 1, 1) + (0,) * (game.Q - 2)
-        moves = {(e.from_quality, e.to_quality) for e in graph.edges[state]}
+        moves = {(m[2], m[3]) for m in graph.moves[state]}
         boundary = (1, 2) not in moves and (2, 1) not in moves
     return NoSwitchReport(holds=not violations, violations=violations,
                           boundary_state_clean=boundary)
@@ -328,10 +341,9 @@ def to_dot(graph: ImprovementGraph) -> str:
         shape = "doublecircle" if node in sinks else "circle"
         lines.append(f'  "{label[node]}" [shape={shape}];')
     for node in graph.nodes:
-        for e in graph.edges[node]:
+        for target, _, a, b, _, _ in graph.moves[node]:
             lines.append(
-                f'  "{label[e.source]}" -> "{label[e.target]}" '
-                f'[label="{e.from_quality}->{e.to_quality}"];'
+                f'  "{label[node]}" -> "{label[target]}" [label="{a}->{b}"];'
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -242,7 +242,7 @@ class StabilityKernel:
     Payments and costs arrive as integer pairs, utilities are kept as
     unreduced integer pairs (numerator, positive denominator), and u_b >
     u_a is decided exactly by cross-multiplying.  Only the payer's set-up
-    and an improving move's gain build a `Fraction`: `stable` builds none.
+    and `improvements` build a `Fraction`; `gains` and `stable` build none.
     """
 
     def __init__(self, game: ContestGame) -> None:
@@ -269,25 +269,26 @@ class StabilityKernel:
         profile = tuple(profile)
         key = profile if self._by_profile else load_of(profile, self._Q)
         for i, a in enumerate(profile, 1):
-            for b, gain in self.gains(i, a, key):
-                yield Deviation(i, b, gain)
+            for b, num, den in self.gains(i, a, key):
+                yield Deviation(i, b, Fraction(num, den))
 
-    def gains(self, i: int, a: int, key: tuple[int, ...]) -> Iterator[tuple[int, Fraction]]:
-        """(b, gain) for every b != a, ascending, where player i strictly gains.
+    def gains(self, i: int, a: int, key: tuple[int, ...]) -> list[tuple[int, int, int]]:
+        """(b, num, den), b != a ascending, where player i strictly gains num/den.
 
-        `key` is the load vector, or the profile under profile-keyed
-        tables; player i holds quality a in it.
+        The pair is unreduced.  `key` is the load vector, or the profile
+        under profile-keyed tables; player i holds quality a in it.
         """
         hn, hd = self._utility(i, a, key)
         moved = list(key)
+        out = []
         if self._by_profile:
             for b in self._qualities:
                 if b != a:
                     moved[i - 1] = b
                     bn, bd = self._utility(i, b, tuple(moved))
                     if bn * hd > hn * bd:
-                        yield b, Fraction(bn * hd - hn * bd, bd * hd)
-            return
+                        out.append((b, bn * hd - hn * bd, bd * hd))
+            return out
         moved[a - 1] -= 1
         for b in self._qualities:
             if b != a:
@@ -295,7 +296,8 @@ class StabilityKernel:
                 bn, bd = self._utility(i, b, tuple(moved))
                 moved[b - 1] -= 1
                 if bn * hd > hn * bd:
-                    yield b, Fraction(bn * hd - hn * bd, bd * hd)
+                    out.append((b, bn * hd - hn * bd, bd * hd))
+        return out
 
     def stays(self, i: int, a: int, key: tuple[int, ...]) -> bool:
         """No switch of player i from quality a strictly gains at `key`.

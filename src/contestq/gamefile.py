@@ -248,6 +248,8 @@ def _load_object(path: Union[str, Path]) -> dict:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise GameValidationError(f"{path}: not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise GameValidationError(f"{path}: not UTF-8: {exc}") from None
     if not isinstance(obj, dict):
         raise GameValidationError(f"{path}: top level must be an object")
     return obj

@@ -116,6 +116,39 @@ FIP_VOLUNTARY_3x2_DOT = """digraph improvement {
 """
 
 
+# ce2 --k 2 in profile mode; the DFS witness follows this move order.
+CE2_K2_DOT = """digraph improvement {
+  "1,1" [shape=circle];
+  "1,2" [shape=circle];
+  "1,3" [shape=circle];
+  "2,1" [shape=circle];
+  "2,2" [shape=circle];
+  "2,3" [shape=circle];
+  "3,1" [shape=circle];
+  "3,2" [shape=circle];
+  "3,3" [shape=circle];
+  "1,1" -> "2,1" [label="1->2"];
+  "1,1" -> "1,2" [label="1->2"];
+  "1,1" -> "1,3" [label="1->3"];
+  "1,2" -> "2,2" [label="1->2"];
+  "1,3" -> "1,2" [label="3->2"];
+  "2,1" -> "2,2" [label="1->2"];
+  "2,1" -> "2,3" [label="1->3"];
+  "2,2" -> "2,3" [label="2->3"];
+  "2,3" -> "1,3" [label="2->1"];
+  "3,1" -> "1,1" [label="3->1"];
+  "3,1" -> "2,1" [label="3->2"];
+  "3,1" -> "3,2" [label="1->2"];
+  "3,1" -> "3,3" [label="1->3"];
+  "3,2" -> "1,2" [label="3->1"];
+  "3,2" -> "2,2" [label="3->2"];
+  "3,2" -> "3,3" [label="2->3"];
+  "3,3" -> "1,3" [label="3->1"];
+  "3,3" -> "2,3" [label="3->2"];
+}
+"""
+
+
 def test_graph_dot_builds_once_with_unchanged_output(tmp_path, capsys, monkeypatch):
     import contestq.cli as cli
 
@@ -144,7 +177,7 @@ def test_graph_dot_builds_once_with_unchanged_output(tmp_path, capsys, monkeypat
     assert out == ("mode: profile; nodes: 9; edges: 18\n"
                    "sinks (0): \n"
                    "acyclic: no; witness cycle: 2,2 -> 2,3 -> 1,3 -> 1,2 -> 2,2\n")
-    assert len(dot.read_text(encoding="utf-8").splitlines()) == 9 + 18 + 2
+    assert dot.read_text(encoding="utf-8") == CE2_K2_DOT
 
 
 def test_graph_detects_cycle(tmp_path, capsys):
@@ -230,6 +263,25 @@ def test_missing_game_file_is_usage_error(capsys):
     code, _, err = run(capsys, "solve", "--game", "/nonexistent.json",
                        "--method", "brute")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--game", "{ce2}", "--dot", "{dir}"],
+    ["instance", "ce1", "--emit", "{dir}"],
+    ["solve", "--game", "{dir}", "--method", "brute"],
+    ["solve", "--game", "{utf16}", "--method", "brute"],
+    ["verify", "--game", "{ce2}", "--profile-file", "{utf16}"],
+], ids=["graph-dot-dir", "instance-emit-dir", "solve-game-dir", "solve-game-utf16",
+        "verify-profile-file-utf16"])
+def test_unreadable_or_unwritable_path_is_usage_error(tmp_path, capsys, argv):
+    ce2 = tmp_path / "ce2.json"
+    save_game(build("ce2", k=2).game, ce2)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{")
+    paths = {"ce2": ce2, "dir": tmp_path, "utf16": utf16}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_cap_env_var_respected(ce1_path, capsys, monkeypatch):

@@ -7,8 +7,10 @@ from contestq import (
     CapExceededError,
     PathResult,
     PathStatus,
+    PaymentKind,
     PreconditionError,
     analyze_graph,
+    analyze_improvement_graph,
     brute_force_pne,
     build,
     build_improvement_graph,
@@ -22,6 +24,9 @@ from contestq import (
     run_improvement_path,
     to_dot,
 )
+
+from contestq.dynamics import GraphAnalysis, anonymous_mode_applicable
+from contestq.instances import FAMILIES
 
 from conftest import make_game
 
@@ -272,3 +277,64 @@ def test_voluntary_sub_unit_effort_boundary():
     assert not report.holds
     assert [(e.source, e.from_quality, e.to_quality)
             for e in report.violations] == [((2, 0), 1, 2)]
+
+
+# --- moves and edges agree -----------------------------------------------
+
+AGREEMENT_SHAPES = ((2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4), (5, 2))
+
+
+def agreement_games(name):
+    """Seeded `random_game`s of family `name` at shapes under the node cap,
+    or the catalog game `name` at several sizes."""
+    if name in FAMILIES:
+        return [random_game(seed, n, Q, name)
+                for seed in range(3) for n, Q in AGREEMENT_SHAPES]
+    if name == "ce2":
+        return [build(name, k=k).game for k in (2, 3, 4)]
+    if name.startswith("fip_"):
+        return [build(name, n=n, Q=Q).game for n, Q in ((2, 2), (3, 3), (4, 3), (3, 4))]
+    return [build(name).game]
+
+
+def analysis_from_edges(graph):
+    """`analyze_improvement_graph` recomputed from `graph.edges` alone, the
+    witness from a recursive DFS over `Edge.target`: roots in node order,
+    edges in list order, the cycle closed by the first edge back to the path."""
+    done, path = set(), []
+
+    def visit(u):
+        path.append(u)
+        for e in graph.edges[u]:
+            if e.target in path:
+                return path[path.index(e.target):] + [e.target]
+            if e.target not in done:
+                cycle = visit(e.target)
+                if cycle:
+                    return cycle
+        done.add(path.pop())
+        return None
+
+    witness = next((c for c in (visit(u) for u in graph.nodes if u not in done) if c), None)
+    return GraphAnalysis(
+        mode=graph.mode, acyclic=witness is None,
+        sinks=sorted(u for u in graph.nodes if not graph.edges[u]),
+        cycle_witness=witness, node_count=len(graph.nodes),
+        edge_count=sum(map(len, graph.edges.values())))
+
+
+@pytest.mark.parametrize("name", FAMILIES + ("ce1", "ce2", "matching_pennies",
+                                             "fip_voluntary", "fip_mandatory"))
+def test_moves_readers_agree_with_edges(name):
+    for game in agreement_games(name):
+        modes = ["profile"] + (["anonymous"] if anonymous_mode_applicable(game) else [])
+        for mode in modes:
+            graph = build_improvement_graph(game, mode=mode)
+            assert analyze_improvement_graph(graph) == analysis_from_edges(graph), mode
+            for u in graph.nodes:
+                assert [e.source for e in graph.edges[u]] == [u] * len(graph.moves[u])
+        if game.payment.kind is PaymentKind.PROPORTIONAL:
+            graph = build_improvement_graph(game)
+            upward = [e for u in graph.nodes for e in graph.edges[u]
+                      if e.to_quality > e.from_quality]
+            assert check_no_switch_lemma(game).violations == upward

@@ -19,6 +19,7 @@ from contestq import (
     brute_force_pne,
     build,
     build_improvement_graph,
+    check_no_switch_lemma,
     contigufy,
     contiguous_assignment,
     equal_sharing,
@@ -41,6 +42,7 @@ from contestq import (
     solve_all_at_lowest,
     solve_contiguous_invariant,
     solve_contiguous_specific,
+    to_dot,
     utility,
 )
 import contestq.game as game_module
@@ -362,16 +364,26 @@ def test_stable_builds_no_fraction_once_the_kernel_is_built(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
-def test_analyze_graph_builds_one_fraction_per_edge(seed, monkeypatch):
+def test_graph_readers_build_no_fraction_and_edges_one_per_edge(seed, monkeypatch):
     """A kernel's set-up builds only the payer's (the normalization
-    constants), and past it the only `Fraction` a graph build makes is
-    each edge's gain."""
+    constants).  Past it, analysing and rendering a graph build no
+    `Fraction`, the no-switch check builds one per violation it reports,
+    and the first read of `graph.edges` builds one per edge."""
     for game in scaled_games(seed) + (tie_games() if seed == 0 else []):
         setup, _ = fractions_built(monkeypatch, lambda: payer(game))
         kernel, _ = fractions_built(monkeypatch, lambda: StabilityKernel(game))
         assert kernel == setup, game.payment.kind
         built, analysis = fractions_built(monkeypatch, lambda: analyze_graph(game))
-        assert built == setup + analysis.edge_count, (game.payment.kind, analysis.mode)
+        assert built == setup, (game.payment.kind, analysis.mode)
+        built, _ = fractions_built(monkeypatch, lambda: to_dot(build_improvement_graph(game)))
+        assert built == setup, (game.payment.kind, analysis.mode)
+        graph = build_improvement_graph(game)
+        built, edges = fractions_built(monkeypatch, lambda: graph.edges)
+        assert built == analysis.edge_count == sum(map(len, edges.values()))
+        assert fractions_built(monkeypatch, lambda: graph.edges) == (0, edges)
+        if game.payment.kind is PaymentKind.PROPORTIONAL:
+            built, report = fractions_built(monkeypatch, lambda: check_no_switch_lemma(game))
+            assert built == setup + len(report.violations), analysis.mode
 
 
 # --- concavity checkers ----------------------------------------------------
