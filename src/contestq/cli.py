@@ -139,11 +139,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 print(f"pne: {','.join(map(str, prof))}")
     elif method == "contiguous":
         if game.payment.kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
-            outcome = solve_contiguous_specific(
-                game, check_concavity=not args.trust_concavity)
+            outcome = solve_contiguous_specific(game)
         else:
-            outcome = solve_contiguous_invariant(
-                game, check_concavity=not args.trust_concavity)
+            outcome = solve_contiguous_invariant(game)
         found = outcome.assignment.profile if outcome.assignment else None
         candidates = outcome.candidates
     elif method == "all-at-one":
@@ -290,8 +288,6 @@ def make_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-profiles", type=int, default=None,
                        help="cap on the profiles --method brute scans "
                             "(default: CONTESTQ_CAP or 10^6)")
-    solve.add_argument("--trust-concavity", action="store_true",
-                       help="skip the three-discrete-concavity check")
 
     verify = sub.add_parser("verify", help="check whether a profile is a PNE")
     verify.add_argument("--game", required=True)

@@ -13,13 +13,16 @@ vector and every triple of pairwise-distinct qualities, plus a swap
 inequality for every quality pair (the form the inversion-swap argument
 uses when the deviation target is the partner's quality; at Q = 2 it is
 the only non-vacuous instance).  Perturbations that would drive a load
-negative are skipped.  The checkers are the ground truth gating the
-contiguous solvers and the contigufication procedure; the solvers'
-agreement with brute force on checker-certified instances is the
-module's master property.  They stay exact without `Fraction` sums:
-each player's payments are read once, into one list of integers over a
-common denominator, and the inequalities compare integers.  The payment
-form a checker or solver accepts is tested in `payments`.
+negative are skipped.  Under product costs concavity guarantees a
+contiguous equilibrium, which makes the contiguous enumeration complete.  A stable contiguous
+profile is an equilibrium whatever the payment, so the contiguous
+solvers run a checker only to prove a miss; the checkers also gate the
+contigufication procedure.  The solvers' agreement with brute force on
+checker-certified instances is the module's master property.  The scans
+stay exact without `Fraction` sums: each player's payments are read
+once, into one list of integers over a common denominator, and the
+inequalities compare integers.  The payment form a checker or solver
+accepts is tested in `payments`.
 """
 
 from __future__ import annotations
@@ -163,6 +166,9 @@ class ConcavityReport:
         return self.holds
 
 
+_CLOSED_FORMS = (PaymentKind.PROPORTIONAL, PaymentKind.EQUAL_SHARING, PaymentKind.KTOP)
+
+
 def _concavity_scan(game: ContestGame,
                     players: Sequence[Optional[int]]) -> ConcavityReport:
     """Shared quantification for both concavity definitions.
@@ -258,8 +264,19 @@ def is_three_discrete_concave_specific(game: ContestGame) -> ConcavityReport:
 
 
 def is_three_discrete_concave_invariant(game: ContestGame) -> ConcavityReport:
-    """Concavity check for player-invariant payments."""
+    """Concavity check for player-invariant payments.
+
+    The closed forms hold at Q = 2 by theorem and are not scanned: only
+    the swap inequality applies.  Under equal sharing and K-Top it reads
+    c*f_k/(L_k+1) + c*f_i/(L_i+1) <= c*f_i/L_i + c*f_k/L_k; under
+    proportional allocation, with T = sum(L_a f_a) and d = f_k - f_i, it
+    reduces to d^2 (f_i + f_k - T) <= 0, and T >= f_i + f_k as both
+    qualities are occupied (where T = d the zero total pays 0, which only
+    helps).
+    """
     _require_invariant(game, "the player-invariant checker")
+    if game.Q == 2 and game.payment.kind in _CLOSED_FORMS:
+        return ConcavityReport(True)
     return _concavity_scan(game, [None])
 
 
@@ -376,29 +393,32 @@ def solve_contiguous_specific(game: ContestGame,
     """Search contiguous load vectors under player-specific payments.
 
     Every candidate is vetted by the full no-switch condition: no
-    player gains by any switch (`StabilityKernel.stable`).  The first
-    satisfying candidate in colexicographic order wins.  The payment
-    form is checked by the concavity checker, or without it directly.
+    player gains by any switch (`StabilityKernel.stable`), and a hit is
+    re-checked by `is_pne`.  The first satisfying candidate in
+    colexicographic order wins, whatever the payment.  Only a miss runs
+    the concavity checker, which must prove the answer "none" or raise
+    `PreconditionError`; with `check_concavity` off a miss is returned
+    unproved.  The payment form is checked first either way.
     """
-    if check_concavity:
+    _require_loads_keyed(game, "the player-specific solver")
+    outcome = _scan_candidates(game)
+    if outcome.assignment is None and check_concavity:
         _require_concave(is_three_discrete_concave_specific(game))
-    else:
-        _require_loads_keyed(game, "the player-specific solver")
-    return _scan_candidates(game)
+    return outcome
 
 
 def solve_contiguous_invariant(game: ContestGame,
                                check_concavity: bool = True) -> SolveOutcome:
     """Search contiguous load vectors under player-invariant payments.
 
-    Candidates and the payment form are vetted as in
+    Candidates, the payment form and a miss are handled as in
     `solve_contiguous_specific`.
     """
-    if check_concavity:
+    _require_invariant(game, "the player-invariant solver")
+    outcome = _scan_candidates(game)
+    if outcome.assignment is None and check_concavity:
         _require_concave(is_three_discrete_concave_invariant(game))
-    else:
-        _require_invariant(game, "the player-invariant solver")
-    return _scan_candidates(game)
+    return outcome
 
 
 def _scan_candidates(game: ContestGame) -> SolveOutcome:

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from contestq import (
     utility,
 )
 from contestq.payments import payer
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def make_game(n, Q, skills, efforts, payment, cost=None):
@@ -124,3 +128,23 @@ def beyond_cap_table_games(n=13, Q=3):
     return {"invariant": make_game(n, Q, (1,) * n, efforts, player_invariant_table(shared)),
             "specific": make_game(n, Q, (1,) * n, efforts,
                                   player_specific_table(loads_table=own))}
+
+
+def random_invariant_table_game(seed):
+    """A small random player-invariant table game; about 95% of draws are
+    not three-discrete-concave.
+
+    Drawn from `random.Random(seed)` in this order: (n, Q) from five
+    shapes; f_1 = 0 or 1/2, then Q - 1 steps of 1/2 to 2; skills in
+    1/8 to 1; and each payment (q, L) with L_q >= 1 in 0 to 3 by
+    quarters, load vectors colex with the qualities inner.
+    """
+    r = random.Random(seed)
+    n, Q = r.choice([(3, 2), (4, 2), (5, 2), (3, 3), (4, 3)])
+    efforts = [F(0) if r.random() < .5 else F(1, 2)]
+    for _ in range(Q - 1):
+        efforts.append(efforts[-1] + F(r.randint(1, 4), 2))
+    skills = [F(r.randint(1, 8), 8) for _ in range(n)]
+    table = {(q, loads): F(r.randint(0, 12), 4) for loads in compositions(n, Q)
+             for q in range(1, Q + 1) if loads[q - 1]}
+    return make_game(n, Q, skills, efforts, player_invariant_table(table))

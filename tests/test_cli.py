@@ -12,7 +12,12 @@ from contestq import build, random_game, save_game, serialize_game
 from contestq.cli import main, make_parser
 from contestq.instances import INSTANCE_IDS
 
-from conftest import alone_at_a_quality_game, beyond_cap_table_games
+from conftest import (
+    FIXTURES,
+    alone_at_a_quality_game,
+    beyond_cap_table_games,
+    random_invariant_table_game,
+)
 
 
 @pytest.fixture
@@ -473,6 +478,46 @@ def test_solve_contiguous_cli(tmp_path, capsys):
                        "--method", "contiguous")
     assert code == 0
     assert "candidates checked: 15" in out
+
+
+MISSED_TABLE = str(FIXTURES / "nonconcave_contiguous_miss.json")
+
+
+def test_solve_contiguous_on_a_non_concave_miss_exits_2(capsys):
+    """No contiguous profile is stable and the payments are not concave, so
+    "none" would be unproved (brute force finds 1,1,2,2): an error, not exit 1."""
+    argv = ["solve", "--game", MISSED_TABLE, "--method", "contiguous"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: payments are not three-discrete-concave: ConcavityViolation("
+                   "player=None, loads=(3, 1, 0), q_i=1, q_k=2, q=2)\n")
+    env = dict(os.environ)
+    src = str(Path(contestq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    shell = subprocess.run([sys.executable, "-m", "contestq.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (shell.returncode, shell.stdout, shell.stderr) == (2, "", err)
+    code, out, _ = run(capsys, "solve", "--game", MISSED_TABLE, "--method", "brute")
+    assert code == 0 and out.startswith("pure Nash equilibrium: 1,1,2,2\n")
+
+
+def test_solve_contiguous_returns_a_hit_on_a_non_concave_table(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    save_game(random_invariant_table_game(0), path)
+    assert run(capsys, "concavity", "--game", str(path))[0] == 1
+    code, out, _ = run(capsys, "solve", "--game", str(path), "--method", "contiguous")
+    assert code == 0
+    assert out.startswith("pure Nash equilibrium: 1,1,1\nloads: L:3,0,0\n")
+    assert out.endswith("candidates checked: 10\n")
+
+
+def test_solve_takes_no_trust_concavity_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--game", MISSED_TABLE, "--method", "contiguous",
+              "--trust-concavity"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --trust-concavity" in captured.err
 
 
 def test_solve_all_at_one_cli(tmp_path, capsys):

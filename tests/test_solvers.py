@@ -8,12 +8,16 @@ import pytest
 
 from contestq import (
     CapExceededError,
+    ContigufyError,
     CostFunction,
     ConcavityReport,
+    Deviation,
     GameValidationError,
     PaymentKind,
     Policy,
+    PneResult,
     PreconditionError,
+    SolveOutcome,
     StabilityKernel,
     analyze_graph,
     brute_force_pne,
@@ -30,6 +34,7 @@ from contestq import (
     is_three_discrete_concave_invariant,
     is_three_discrete_concave_specific,
     ktop,
+    load_game,
     load_of,
     oblivious_table,
     player_invariant_table,
@@ -54,8 +59,11 @@ from contestq.solvers import ConcavityViolation, concavity_report
 from contestq.payments import compositions, payer
 
 from conftest import (
+    FIXTURES,
+    alone_at_a_quality_game,
     contiguous_candidate_count,
     make_game,
+    random_invariant_table_game,
     reference_equilibria,
     reference_improvements,
 )
@@ -642,8 +650,57 @@ def test_concavity_gate_builds_no_fraction_past_the_payer(seed, monkeypatch):
         except PreconditionError:
             continue
         setup, _ = fractions_built(monkeypatch, lambda: payer(game))
+        if closed_form_at_two(game):  # decided by theorem: not even the payer is built
+            setup = 0
         built, _ = fractions_built(monkeypatch, lambda: concavity_report(game))
         assert built == setup, game.payment.kind
+
+
+def closed_form_at_two(game):
+    """Whether the gate decides `game` by theorem: a closed form at Q = 2."""
+    return game.Q == 2 and game.payment.kind in (
+        PaymentKind.PROPORTIONAL, PaymentKind.EQUAL_SHARING, PaymentKind.KTOP)
+
+
+def counting_scans(monkeypatch):
+    """Patch `_concavity_scan` to record the game of every call."""
+    scans = []
+    real_scan = solvers_module._concavity_scan
+    monkeypatch.setattr(solvers_module, "_concavity_scan",
+                        lambda game, players: scans.append(game) or real_scan(game, players))
+    return scans
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("Q", [2, 3, 4])
+def test_closed_forms_are_concave_exactly_at_two_qualities(n, Q, monkeypatch):
+    """The scan is the oracle: every kind and K, voluntary and mandatory."""
+    rng = random.Random(10 * n + Q)
+    games = []
+    for voluntary in (False, True):
+        efforts = [F(0) if voluntary else F(rng.randint(1, 4), rng.randint(1, 3))]
+        for _ in range(Q - 1):
+            efforts.append(efforts[-1] + F(rng.randint(1, 4), rng.randint(1, 3)))
+        skills = [F(rng.randint(1, 8), 8) for _ in range(n)]
+        games += [make_game(n, Q, skills, efforts, payment)
+                  for payment in (proportional(), equal_sharing(),
+                                  *(ktop(K) for K in range(1, Q + 1)))]
+    oracle = [solvers_module._concavity_scan(game, [None]) for game in games]
+    assert [report.holds for report in oracle] == [Q == 2] * len(games)
+    scans = counting_scans(monkeypatch)
+    assert [concavity_report(game) for game in games] == oracle
+    assert len(scans) == (0 if Q == 2 else len(games))
+
+
+def test_closed_forms_at_two_qualities_read_no_payment(monkeypatch):
+    n = 2000
+    games = [make_game(n, 2, (1,) * n, efforts, payment)
+             for efforts in ((1, 2), (0, F(3, 7)))
+             for payment in (proportional(), equal_sharing(), ktop(1), ktop(2))]
+    scans = counting_scans(monkeypatch)
+    reads = counting_gate_payer(monkeypatch)
+    assert all(concavity_report(game) for game in games)
+    assert scans == [] and not reads
 
 
 # --- contigufication --------------------------------------------------------
@@ -815,6 +872,92 @@ def test_candidate_scan_sorts_players_once(monkeypatch):
     assert solve_contiguous_invariant(game, check_concavity=False) == before
     assert len(calls) == 1
     assert before.assignment == contiguous_assignment(game, before.assignment.loads)
+
+
+# --- the contiguous solvers prove concavity only for a miss ----------------
+
+SOLVER_OF = {"concave-specific": solve_contiguous_specific,
+             "concave-invariant": solve_contiguous_invariant}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n,Q", [(4, 2), (6, 2), (5, 3), (4, 4)])
+def test_a_hit_on_a_concave_game_runs_no_concavity_scan(seed, n, Q, monkeypatch):
+    games = [(family, random_game(seed, n, Q, family)) for family in SOLVER_OF]
+    scans = counting_scans(monkeypatch)
+    for family, game in games:
+        out = SOLVER_OF[family](game)
+        assert out.assignment is not None
+        assert out == SOLVER_OF[family](game, check_concavity=False)
+    assert scans == []
+
+
+def test_a_miss_runs_exactly_one_concavity_scan(monkeypatch):
+    concave = _with_table_cost(25, 4, 2)  # concave payments, costs not s*f: no hit
+    cyclic = alone_at_a_quality_game()  # loads-keyed, not concave, no equilibrium
+    table = load_game(FIXTURES / "nonconcave_contiguous_miss.json")
+    scans = counting_scans(monkeypatch)
+    assert solve_contiguous_invariant(concave) == SolveOutcome(None, 5)
+    assert scans == [concave]
+    with pytest.raises(PreconditionError, match="not three-discrete-concave"):
+        solve_contiguous_specific(cyclic)
+    with pytest.raises(PreconditionError, match=r"loads=\(3, 1, 0\)"):
+        solve_contiguous_invariant(table)
+    assert scans == [concave, cyclic, table]
+
+
+def test_the_missed_table_fixture_has_a_non_contiguous_equilibrium():
+    game = load_game(FIXTURES / "nonconcave_contiguous_miss.json")
+    assert game == random_invariant_table_game(74)
+    assert brute_force_pne(game).found == (1, 1, 2, 2)
+    assert solve_contiguous_invariant(game, check_concavity=False) == SolveOutcome(None, 15)
+
+
+def first_contiguous_pne(game):
+    """The first load vector in colex order whose contiguous profile is an
+    equilibrium by brute force, or None."""
+    pnes = set(brute_force_pne(game, find_all=True).all)
+    return next((loads for loads in compositions(game.n, game.Q)
+                 if contiguous_assignment(game, loads).profile in pnes), None)
+
+
+def test_a_non_concave_table_returns_its_first_stable_contiguous_profile():
+    game = random_invariant_table_game(0)
+    assert (game.n, game.Q) == (3, 3) and not concavity_report(game)
+    out = solve_contiguous_invariant(game)
+    assert out.assignment.loads == first_contiguous_pne(game) == (3, 0, 0)
+    assert is_pne(game, out.assignment.profile)
+
+
+# the draws of `random_invariant_table_game` below 1000 with no stable contiguous profile
+NO_CONTIGUOUS_PNE_SEEDS = (44, 74, 103, 333, 797, 987)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_random_tables_return_the_first_stable_contiguous_profile_or_raise(block):
+    """A hit is returned whatever the payment; a miss raises unless concave,
+    and a concave table with product costs always has a hit."""
+    seeds = range(100 * block, 100 * block + 100)
+    raised = []
+    for seed in seeds:
+        game = random_invariant_table_game(seed)
+        first = first_contiguous_pne(game)
+        if first is not None:
+            assert solve_contiguous_invariant(game).assignment.loads == first
+        else:
+            assert not concavity_report(game)
+            with pytest.raises(PreconditionError):
+                solve_contiguous_invariant(game)
+            raised.append(seed)
+    assert raised == [seed for seed in NO_CONTIGUOUS_PNE_SEEDS if seed in seeds]
+
+
+def test_a_hit_the_profile_check_rejects_raises(monkeypatch):
+    game = random_game(0, 4, 3, "concave-specific")
+    monkeypatch.setattr(solvers_module, "is_pne",
+                        lambda game, profile: PneResult(False, Deviation(1, 2, F(1))))
+    with pytest.raises(ContigufyError, match="fails the profile check"):
+        solve_contiguous_specific(game)
 
 
 # --- constant-time solver ---------------------------------------------------
