@@ -14,15 +14,15 @@ inequality for every quality pair (the form the inversion-swap argument
 uses when the deviation target is the partner's quality; at Q = 2 it is
 the only non-vacuous instance).  Perturbations that would drive a load
 negative are skipped.  Under product costs concavity guarantees a
-contiguous equilibrium, which makes the contiguous enumeration complete.  A stable contiguous
-profile is an equilibrium whatever the payment, so the contiguous
-solvers run a checker only to prove a miss; the checkers also gate the
-contigufication procedure.  The solvers' agreement with brute force on
-checker-certified instances is the module's master property.  The scans
-stay exact without `Fraction` sums: each player's payments are read
-once, into one list of integers over a common denominator, and the
-inequalities compare integers.  The payment form a checker or solver
-accepts is tested in `payments`.
+contiguous equilibrium, which makes the contiguous enumeration
+complete.  A stable contiguous profile is an equilibrium whatever the
+payment, so the contiguous solvers run a checker only to prove a miss;
+the checkers also gate the contigufication procedure.  The solvers'
+agreement with brute force on checker-certified instances is the
+module's master property.  The scans stay exact without `Fraction`
+sums: each player's payments are read once, into one list of integers
+over a common denominator, and the inequalities compare integers.  The
+payment form a checker or solver accepts is tested in `payments`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, compress, islice, product
-from math import lcm
+from math import comb, lcm
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
@@ -388,27 +388,26 @@ class SolveOutcome:
     candidates: int
 
 
-def solve_contiguous_specific(game: ContestGame,
-                              check_concavity: bool = True) -> SolveOutcome:
+def solve_contiguous_specific(game: ContestGame) -> SolveOutcome:
     """Search contiguous load vectors under player-specific payments.
 
     Every candidate is vetted by the full no-switch condition: no
     player gains by any switch (`StabilityKernel.stable`), and a hit is
     re-checked by `is_pne`.  The first satisfying candidate in
-    colexicographic order wins, whatever the payment.  Only a miss runs
-    the concavity checker, which must prove the answer "none" or raise
-    `PreconditionError`; with `check_concavity` off a miss is returned
-    unproved.  The payment form is checked first either way.
+    colexicographic order wins, whatever the payment.  The payment form
+    is checked first; only a miss runs the concavity checker, which must
+    prove the answer "none" or raise `PreconditionError`.  A hit walks
+    the candidates lazily, but a miss costs the full enumeration before
+    the checker runs, even where the checker would fail at once.
     """
     _require_loads_keyed(game, "the player-specific solver")
     outcome = _scan_candidates(game)
-    if outcome.assignment is None and check_concavity:
+    if outcome.assignment is None:
         _require_concave(is_three_discrete_concave_specific(game))
     return outcome
 
 
-def solve_contiguous_invariant(game: ContestGame,
-                               check_concavity: bool = True) -> SolveOutcome:
+def solve_contiguous_invariant(game: ContestGame) -> SolveOutcome:
     """Search contiguous load vectors under player-invariant payments.
 
     Candidates, the payment form and a miss are handled as in
@@ -416,7 +415,7 @@ def solve_contiguous_invariant(game: ContestGame,
     """
     _require_invariant(game, "the player-invariant solver")
     outcome = _scan_candidates(game)
-    if outcome.assignment is None and check_concavity:
+    if outcome.assignment is None:
         _require_concave(is_three_discrete_concave_invariant(game))
     return outcome
 
@@ -424,22 +423,25 @@ def solve_contiguous_invariant(game: ContestGame,
 def _scan_candidates(game: ContestGame) -> SolveOutcome:
     """The first contiguous profile, in colex load order, that is stable.
 
-    The outcome reports the full enumeration size C(n+Q-1, Q-1).
+    Load vectors are generated one at a time and the scan stops at the
+    first hit.  The outcome reports the full enumeration size
+    C(n+Q-1, Q-1).
     """
     kernel = StabilityKernel(game)
     order = skill_order(game)
-    candidates = list(compositions(game.n, game.Q))
-    assignments = (_contiguous(game, order, loads) for loads in candidates)
+    count = comb(game.n + game.Q - 1, game.Q - 1)
+    assignments = (_contiguous(game, order, loads)
+                   for loads in compositions(game.n, game.Q))
     assignment = next((a for a in assignments if kernel.stable(a.profile)), None)
     if assignment is None:
-        return SolveOutcome(None, len(candidates))
+        return SolveOutcome(None, count)
     verdict = is_pne(game, assignment.profile)
     if not verdict:
         raise ContigufyError(
             f"candidate {assignment.loads} passed the kernel check but "
             f"fails the profile check: {verdict.witness}"
         )
-    return SolveOutcome(assignment, len(candidates))
+    return SolveOutcome(assignment, count)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def test_criterion_7_oracle_equivalence(concave_pool):
     assert len(concave_pool) >= 500
     with_pne = 0
     for family, seed, n, Q, game in concave_pool:
-        outcome = SOLVERS[family](game, check_concavity=False)
+        outcome = SOLVERS[family](game)
         brute = brute_force_pne(game)
         assert (outcome.assignment is None) == (brute.found is None), \
             (family, seed, n, Q)
@@ -183,12 +183,11 @@ def test_criterion_8_enumeration_count(concave_pool):
     started = time.perf_counter()
     seen_shapes = set()
     for family, seed, n, Q, game in concave_pool[:40]:
-        outcome = SOLVERS[family](game, check_concavity=False)
+        outcome = SOLVERS[family](game)
         assert outcome.candidates == contiguous_candidate_count(n, Q)
         seen_shapes.add((n, Q))
     game = random_game(0, 4, 3, "concave-specific")
-    assert solve_contiguous_specific(
-        game, check_concavity=False).candidates == 15
+    assert solve_contiguous_specific(game).candidates == 15
     report("criterion 8: candidate counts equal C(n+Q-1, Q-1)", started,
            f"{sorted(seen_shapes)} and (4,3)->15")
 

@@ -658,8 +658,7 @@ def test_concavity_gate_builds_no_fraction_past_the_payer(seed, monkeypatch):
 
 def closed_form_at_two(game):
     """Whether the gate decides `game` by theorem: a closed form at Q = 2."""
-    return game.Q == 2 and game.payment.kind in (
-        PaymentKind.PROPORTIONAL, PaymentKind.EQUAL_SHARING, PaymentKind.KTOP)
+    return game.Q == 2 and game.payment.kind in solvers_module._CLOSED_FORMS
 
 
 def counting_scans(monkeypatch):
@@ -745,13 +744,13 @@ def test_contigufy_random_concave_instances(seed, family):
 
 def test_candidate_count_4x3():
     game = random_game(0, 4, 3, "concave-specific")
-    out = solve_contiguous_specific(game, check_concavity=False)
+    out = solve_contiguous_specific(game)
     assert out.candidates == 15 == contiguous_candidate_count(4, 3)
 
 
 def test_candidate_count_5x2():
     game = random_game(0, 5, 2, "concave-invariant")
-    out = solve_contiguous_invariant(game, check_concavity=False)
+    out = solve_contiguous_invariant(game)
     assert out.candidates == 6 == contiguous_candidate_count(5, 2)
 
 
@@ -807,7 +806,7 @@ def test_invariant_solver_on_table_costs():
         pnes = set(brute_force_pne(game, find_all=True).all)
         expected = next((loads for loads in compositions(n, Q)
                          if contiguous_assignment(game, loads).profile in pnes), None)
-        out = solve_contiguous_invariant(game, check_concavity=False)
+        out = solve_contiguous_invariant(game)
         assert (out.assignment.loads if out.assignment else None) == expected
         outcomes.add(expected is None)
     assert outcomes == {False, True}
@@ -828,9 +827,9 @@ def test_solver_none_agrees_with_brute_force_on_cyclic_game():
     game = make_game(2, 2, (1, 1), (1, 2),
                      player_specific_table(loads_table=table))
     assert brute_force_pne(game).found is None
-    out = solve_contiguous_specific(game, check_concavity=False)
-    assert out.assignment is None
-    assert out.candidates == 3
+    assert solvers_module._scan_candidates(game) == SolveOutcome(None, 3)
+    with pytest.raises(PreconditionError, match="not three-discrete-concave"):
+        solve_contiguous_specific(game)
 
 
 def test_solve_invariant_es_agrees_with_brute_force():
@@ -864,12 +863,12 @@ def test_candidate_scan_sorts_players_once(monkeypatch):
     import contestq.solvers as solvers
 
     game = random_game(4, 6, 2, "concave-invariant")
-    before = solve_contiguous_invariant(game, check_concavity=False)
+    before = solve_contiguous_invariant(game)
     assert before.candidates == 7
     calls = []
     monkeypatch.setattr(solvers, "skill_order",
                         lambda g: calls.append(g) or skill_order(g))
-    assert solve_contiguous_invariant(game, check_concavity=False) == before
+    assert solve_contiguous_invariant(game) == before
     assert len(calls) == 1
     assert before.assignment == contiguous_assignment(game, before.assignment.loads)
 
@@ -888,7 +887,7 @@ def test_a_hit_on_a_concave_game_runs_no_concavity_scan(seed, n, Q, monkeypatch)
     for family, game in games:
         out = SOLVER_OF[family](game)
         assert out.assignment is not None
-        assert out == SOLVER_OF[family](game, check_concavity=False)
+        assert out == solvers_module._scan_candidates(game)
     assert scans == []
 
 
@@ -897,7 +896,7 @@ def test_a_miss_runs_exactly_one_concavity_scan(monkeypatch):
     cyclic = alone_at_a_quality_game()  # loads-keyed, not concave, no equilibrium
     table = load_game(FIXTURES / "nonconcave_contiguous_miss.json")
     scans = counting_scans(monkeypatch)
-    assert solve_contiguous_invariant(concave) == SolveOutcome(None, 5)
+    solve_contiguous_invariant(concave)  # its "none" is wrong: ROADMAP item 14
     assert scans == [concave]
     with pytest.raises(PreconditionError, match="not three-discrete-concave"):
         solve_contiguous_specific(cyclic)
@@ -910,7 +909,7 @@ def test_the_missed_table_fixture_has_a_non_contiguous_equilibrium():
     game = load_game(FIXTURES / "nonconcave_contiguous_miss.json")
     assert game == random_invariant_table_game(74)
     assert brute_force_pne(game).found == (1, 1, 2, 2)
-    assert solve_contiguous_invariant(game, check_concavity=False) == SolveOutcome(None, 15)
+    assert solvers_module._scan_candidates(game) == SolveOutcome(None, 15)
 
 
 def first_contiguous_pne(game):
@@ -950,6 +949,28 @@ def test_random_tables_return_the_first_stable_contiguous_profile_or_raise(block
                 solve_contiguous_invariant(game)
             raised.append(seed)
     assert raised == [seed for seed in NO_CONTIGUOUS_PNE_SEEDS if seed in seeds]
+
+
+@pytest.mark.parametrize("Q", [3, 4])
+def test_a_hit_on_a_large_closed_form_reads_only_its_candidate(Q, monkeypatch):
+    """Proportional payments at Q >= 3 are not concave, yet all-at-quality-1
+    is stable: the scan stops there without listing the other load vectors."""
+    game = build("fip_mandatory", n=1000, Q=Q).game
+    drawn = []
+    real_compositions = solvers_module.compositions
+
+    def counting_compositions(n, Q):
+        for loads in real_compositions(n, Q):
+            drawn.append(loads)
+            assert len(drawn) <= 10, "the scan read ahead of its hit"
+            yield loads
+
+    monkeypatch.setattr(solvers_module, "compositions", counting_compositions)
+    scans = counting_scans(monkeypatch)
+    out = solve_contiguous_invariant(game)
+    assert out.assignment.loads == (1000,) + (0,) * (Q - 1)
+    assert out.candidates == contiguous_candidate_count(1000, Q)
+    assert drawn == [out.assignment.loads] and scans == []
 
 
 def test_a_hit_the_profile_check_rejects_raises(monkeypatch):
