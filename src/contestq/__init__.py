@@ -64,7 +64,6 @@ from .solvers import (
     brute_force_pne,
     contigufy,
     contiguous_assignment,
-    inversions,
     is_three_discrete_concave_invariant,
     is_three_discrete_concave_specific,
     reduce_from_normal_form,

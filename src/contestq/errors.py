@@ -20,4 +20,4 @@ class CapExceededError(ContestError, RuntimeError):
 
 
 class ContigufyError(ContestError, RuntimeError):
-    """The inversion-swap procedure failed to preserve equilibrium."""
+    """A contiguous profile that should be an equilibrium is not one."""

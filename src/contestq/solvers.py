@@ -16,8 +16,8 @@ the only non-vacuous instance).  Perturbations that would drive a load
 negative are skipped.  Under product costs concavity guarantees a
 contiguous equilibrium, which makes the contiguous enumeration
 complete.  A stable contiguous profile is an equilibrium whatever the
-payment, so the contiguous solvers run a checker only to prove a miss;
-the checkers also gate the contigufication procedure.  The solvers'
+payment, so the contiguous solvers run a checker only to prove a miss,
+and only under product costs.  The solvers'
 agreement with brute force on checker-certified instances is the
 module's master property.  The scans stay exact without `Fraction`
 sums: each player's payments are read once, into one list of integers
@@ -287,13 +287,6 @@ def concavity_report(game: ContestGame) -> ConcavityReport:
     return is_three_discrete_concave_invariant(game)
 
 
-def _require_concave(report: ConcavityReport) -> None:
-    if not report:
-        raise PreconditionError(
-            f"payments are not three-discrete-concave: {report.violation}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Contiguity
 
@@ -333,48 +326,20 @@ def _contiguous(game: ContestGame, order: tuple[int, ...],
     return ContiguousAssignment(loads=tuple(loads), profile=tuple(choice))
 
 
-def inversions(game: ContestGame, profile: Profile) -> list[tuple[int, int]]:
-    """Inverted pairs of skill-order ranks: earlier rank at a higher quality."""
-    order = skill_order(game)
-    pairs = []
-    for a in range(game.n):
-        for b in range(a + 1, game.n):
-            if profile[order[a] - 1] > profile[order[b] - 1]:
-                pairs.append((a + 1, b + 1))
-    return pairs
+def contigufy(game: ContestGame, pne: Profile) -> Profile:
+    """The contiguous profile with the equilibrium's load vector.
 
-
-def contigufy(game: ContestGame, pne: Profile, check_concavity: bool = True) -> Profile:
-    """Swap inversion pairs until the equilibrium is contiguous.
-
-    Each round swaps the first pair `inversions` returns: the earliest
-    inversion witness with its earliest partner.  The load vector never
-    changes and, for three-discrete-concave payments, neither does
-    equilibrium status.  The result is re-verified and a failure raises
-    instead of returning silently.
+    Swapping inverted pairs (an earlier skill rank at a higher quality)
+    keeps the loads and ends exactly at this block assignment, an
+    equilibrium too under concave payments and product costs.  It is
+    re-verified, and a failure raises instead of returning silently.
     """
     verdict = is_pne(game, pne)
     if not verdict:
         raise PreconditionError(f"contigufy needs an equilibrium; got {verdict.witness}")
-    if check_concavity:
-        _require_concave(concavity_report(game))
-    order = skill_order(game)
-    profile = list(pne)
-    for _ in range(game.n * game.n + 1):
-        pairs = inversions(game, profile)
-        if not pairs:
-            break
-        i, k = (order[rank - 1] - 1 for rank in pairs[0])
-        profile[i], profile[k] = profile[k], profile[i]
-    else:
-        raise ContigufyError("inversion swaps did not terminate within n^2 rounds")
-    result = tuple(profile)
-    if load_of(result, game.Q) != load_of(pne, game.Q):
-        raise ContigufyError("swap changed the load vector")
+    result = contiguous_assignment(game, load_of(pne, game.Q)).profile
     if not is_pne(game, result):
-        raise ContigufyError(
-            "swap broke the equilibrium; payments are not concave enough"
-        )
+        raise ContigufyError(f"the contiguous profile {result} is not an equilibrium")
     return result
 
 
@@ -395,16 +360,13 @@ def solve_contiguous_specific(game: ContestGame) -> SolveOutcome:
     player gains by any switch (`StabilityKernel.stable`), and a hit is
     re-checked by `is_pne`.  The first satisfying candidate in
     colexicographic order wins, whatever the payment.  The payment form
-    is checked first; only a miss runs the concavity checker, which must
-    prove the answer "none" or raise `PreconditionError`.  A hit walks
-    the candidates lazily, but a miss costs the full enumeration before
-    the checker runs, even where the checker would fail at once.
+    is checked first; only a miss goes to `_prove_miss`, which must prove
+    the answer "none" or raise `PreconditionError`.  A hit walks the
+    candidates lazily, but a miss costs the full enumeration before the
+    proof runs, even where the proof would fail at once.
     """
     _require_loads_keyed(game, "the player-specific solver")
-    outcome = _scan_candidates(game)
-    if outcome.assignment is None:
-        _require_concave(is_three_discrete_concave_specific(game))
-    return outcome
+    return _prove_miss(game, _scan_candidates(game))
 
 
 def solve_contiguous_invariant(game: ContestGame) -> SolveOutcome:
@@ -414,10 +376,7 @@ def solve_contiguous_invariant(game: ContestGame) -> SolveOutcome:
     `solve_contiguous_specific`.
     """
     _require_invariant(game, "the player-invariant solver")
-    outcome = _scan_candidates(game)
-    if outcome.assignment is None:
-        _require_concave(is_three_discrete_concave_invariant(game))
-    return outcome
+    return _prove_miss(game, _scan_candidates(game))
 
 
 def _scan_candidates(game: ContestGame) -> SolveOutcome:
@@ -444,6 +403,27 @@ def _scan_candidates(game: ContestGame) -> SolveOutcome:
     return SolveOutcome(assignment, count)
 
 
+def _product_costs(game: ContestGame) -> bool:
+    """Every cost is s_i*f_q: the product form, or a table holding it."""
+    table = game.cost.table
+    return table is None or all(row == tuple(skill * f for f in game.efforts)
+                                for skill, row in zip(game.skills, table))
+
+
+def _prove_miss(game: ContestGame, outcome: SolveOutcome) -> SolveOutcome:
+    """Return a hit untouched, and a miss only where it proves "none": the
+    existence theorem needs costs s_i*f_q and three-discrete-concavity."""
+    if outcome.assignment is not None:
+        return outcome
+    if not _product_costs(game):
+        raise PreconditionError(
+            "costs are not of product form s_i*f_q, so a contiguous miss proves nothing")
+    report = concavity_report(game)
+    if not report:
+        raise PreconditionError(f"payments are not three-discrete-concave: {report.violation}")
+    return outcome
+
+
 # ---------------------------------------------------------------------------
 # Constant-time solver for lower-bounded skills
 
@@ -467,7 +447,7 @@ def solve_all_at_lowest(game: ContestGame) -> Optional[Profile]:
         raise PreconditionError("requires proportional allocation")
     if game.participation is not Participation.MANDATORY:
         raise PreconditionError("requires mandatory participation")
-    if game.cost.kind != "product":
+    if not _product_costs(game):
         raise PreconditionError("requires product skill-effort costs")
     f1, f2 = game.efforts[0], game.efforts[1]
     if min(game.skills) < f2 / (f2 - f1) or f2 < 1 - Fraction(1, game.n):

@@ -18,6 +18,7 @@ from contestq import (
     player_invariant_table,
     player_specific_table,
     proportional,
+    skill_order,
     utility,
 )
 from contestq.payments import payer
@@ -89,6 +90,30 @@ def reference_equilibria(game):
     Q^n profiles for an improving switch."""
     return [p for p in product(game.qualities(), repeat=game.n)
             if not reference_improvements(game, p)]
+
+
+def inversions(game, profile):
+    """Inverted pairs of skill-order ranks: earlier rank at a higher quality."""
+    order = skill_order(game)
+    return [(a + 1, b + 1) for a in range(game.n) for b in range(a + 1, game.n)
+            if profile[order[a] - 1] > profile[order[b] - 1]]
+
+
+def swap_inversions(game, profile):
+    """Swap the first pair `inversions` returns until there is none.
+
+    Each swap removes at least one inversion, so at most n(n-1)/2 rounds
+    run, and the load vector never changes.
+    """
+    order = skill_order(game)
+    profile = list(profile)
+    for _ in range(game.n * game.n):
+        pairs = inversions(game, profile)
+        if not pairs:
+            return tuple(profile)
+        i, k = (order[rank - 1] - 1 for rank in pairs[0])
+        profile[i], profile[k] = profile[k], profile[i]
+    raise AssertionError("inversion swaps did not terminate within n^2 rounds")
 
 
 def normalization_constant_bruteforce(game, family):

@@ -24,7 +24,6 @@ from contestq import (
     build_potential_cache,
     check_no_switch_lemma,
     contigufy,
-    inversions,
     is_pne,
     load_of,
     potential,
@@ -38,7 +37,7 @@ from contestq import (
     utility,
 )
 
-from conftest import contiguous_candidate_count
+from conftest import contiguous_candidate_count, inversions
 
 SOLVERS = {"concave-specific": solve_contiguous_specific,
            "concave-invariant": solve_contiguous_invariant}
@@ -197,7 +196,7 @@ def test_criterion_9_contigufication(concave_pool):
     total = 0
     for family, seed, n, Q, game in concave_pool:
         for pne in brute_force_pne(game, find_all=True).all:
-            out = contigufy(game, pne, check_concavity=False)
+            out = contigufy(game, pne)
             assert inversions(game, out) == []
             assert load_of(out, Q) == load_of(pne, Q)
             assert is_pne(game, out)

@@ -40,6 +40,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    """`run` in a fresh interpreter, as a shell user would run it."""
+    env = dict(os.environ)
+    src = str(Path(contestq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    shell = subprocess.run([sys.executable, "-m", "contestq.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=60)
+    return shell.returncode, shell.stdout, shell.stderr
+
+
 def test_solve_brute_no_pne(ce1_path, capsys):
     code, out, _ = run(capsys, "solve", "--game", ce1_path, "--method", "brute")
     assert code == 1
@@ -483,22 +493,21 @@ def test_solve_contiguous_cli(tmp_path, capsys):
 MISSED_TABLE = str(FIXTURES / "nonconcave_contiguous_miss.json")
 
 
-def test_solve_contiguous_on_a_non_concave_miss_exits_2(capsys):
-    """No contiguous profile is stable and the payments are not concave, so
-    "none" would be unproved (brute force finds 1,1,2,2): an error, not exit 1."""
-    argv = ["solve", "--game", MISSED_TABLE, "--method", "contiguous"]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == ("error: payments are not three-discrete-concave: ConcavityViolation("
-                   "player=None, loads=(3, 1, 0), q_i=1, q_k=2, q=2)\n")
-    env = dict(os.environ)
-    src = str(Path(contestq.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    shell = subprocess.run([sys.executable, "-m", "contestq.cli", *argv],
-                           capture_output=True, text=True, env=env, timeout=60)
-    assert (shell.returncode, shell.stdout, shell.stderr) == (2, "", err)
-    code, out, _ = run(capsys, "solve", "--game", MISSED_TABLE, "--method", "brute")
-    assert code == 0 and out.startswith("pure Nash equilibrium: 1,1,2,2\n")
+@pytest.mark.parametrize("fixture,error,found", [
+    ("nonconcave_contiguous_miss.json", "payments are not three-discrete-concave: "
+     "ConcavityViolation(player=None, loads=(3, 1, 0), q_i=1, q_k=2, q=2)", "1,1,2,2"),
+    ("tablecost_contiguous_miss.json",
+     "costs are not of product form s_i*f_q, so a contiguous miss proves nothing", "1,2,2,2"),
+])
+def test_solve_contiguous_on_an_unproved_miss_exits_2(fixture, error, found, capsys):
+    """No contiguous profile is stable, and the payments are not concave or
+    the costs are not s_i*f_q, so "none" would be unproved (brute force finds
+    an equilibrium): an error, not exit 1."""
+    path = str(FIXTURES / fixture)
+    argv = ["solve", "--game", path, "--method", "contiguous"]
+    assert run(capsys, *argv) == run_fresh(*argv) == (2, "", f"error: {error}\n")
+    code, out, _ = run(capsys, "solve", "--game", path, "--method", "brute")
+    assert code == 0 and out.startswith(f"pure Nash equilibrium: {found}\n")
 
 
 def test_solve_contiguous_returns_a_hit_on_a_non_concave_table(tmp_path, capsys):
@@ -691,17 +700,13 @@ def test_help_prints_the_same_text_twice(argv, capsys):
 
 
 def test_a_fresh_process_matches_main_in_process(ce1_path, wow_path, tmp_path, capsys):
-    env = dict(os.environ)
-    src = str(Path(contestq.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     table_path = str(tmp_path / "specific.json")  # 13 players: 3^13 profiles
     save_game(beyond_cap_table_games()["specific"], table_path)
     for argv, want in ((["solve", "--game", wow_path, "--method", "brute"], 0),
                        (["solve", "--game", ce1_path, "--method", "brute"], 1),
                        (["dynamics", "--game", ce1_path, "--max-steps", "-1"], 2),
                        (["classify", "--game", table_path], 0)):
-        shell = subprocess.run([sys.executable, "-m", "contestq.cli", *argv],
-                               capture_output=True, text=True, env=env, timeout=60)
+        shell_code, shell_out, shell_err = run_fresh(*argv)
         code, out, _ = run(capsys, *argv)
-        assert (shell.returncode, shell.stdout) == (code, out) and code == want
-        assert "Traceback" not in shell.stderr
+        assert (shell_code, shell_out) == (code, out) and code == want
+        assert "Traceback" not in shell_err

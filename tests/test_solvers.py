@@ -29,7 +29,6 @@ from contestq import (
     equal_sharing,
     evaluate_payment,
     improvement_steps,
-    inversions,
     is_pne,
     is_three_discrete_concave_invariant,
     is_three_discrete_concave_specific,
@@ -62,10 +61,12 @@ from conftest import (
     FIXTURES,
     alone_at_a_quality_game,
     contiguous_candidate_count,
+    inversions,
     make_game,
     random_invariant_table_game,
     reference_equilibria,
     reference_improvements,
+    swap_inversions,
 )
 
 
@@ -734,10 +735,32 @@ def test_contigufy_requires_equilibrium():
 def test_contigufy_random_concave_instances(seed, family):
     game = random_game(seed, 4, 2, family)
     for pne in brute_force_pne(game, find_all=True).all:
-        out = contigufy(game, pne, check_concavity=False)
+        out = contigufy(game, pne)
         assert inversions(game, out) == []
         assert load_of(out, game.Q) == load_of(pne, game.Q)
         assert is_pne(game, out)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n,Q", [(3, 2), (4, 2), (4, 3), (5, 3), (3, 4)])
+def test_contigufy_is_where_the_inversion_swaps_end(seed, family, n, Q):
+    game = random_game(seed, n, Q, family)
+    for pne in brute_force_pne(game, find_all=True).all:
+        end = swap_inversions(game, pne)
+        if is_pne(game, end):
+            assert contigufy(game, pne) == end
+        else:
+            with pytest.raises(ContigufyError):
+                contigufy(game, pne)
+
+
+def test_contigufy_raises_where_the_block_profile_is_no_equilibrium():
+    """Non-concave payments: the equilibrium (1,1,2,2) has no contiguous twin."""
+    game = load_game(FIXTURES / "nonconcave_contiguous_miss.json")
+    assert swap_inversions(game, (1, 1, 2, 2)) == contiguous_assignment(game, (2, 2, 0)).profile
+    with pytest.raises(ContigufyError, match="is not an equilibrium"):
+        contigufy(game, (1, 1, 2, 2))
 
 
 # --- contiguous solvers -----------------------------------------------------
@@ -798,23 +821,33 @@ def _with_table_cost(seed, n, Q):
 
 def test_invariant_solver_on_table_costs():
     # the first load vector in colex order whose contiguous profile is an
-    # equilibrium, or None; both outcomes occur
+    # equilibrium; without one, "none" only under s*f costs, else a raise
     outcomes = set()
     for seed in range(40):
         n, Q = [(3, 2), (4, 2), (4, 3), (5, 3)][seed % 4]
         game = _with_table_cost(seed, n, Q)
-        pnes = set(brute_force_pne(game, find_all=True).all)
-        expected = next((loads for loads in compositions(n, Q)
-                         if contiguous_assignment(game, loads).profile in pnes), None)
-        out = solve_contiguous_invariant(game)
-        assert (out.assignment.loads if out.assignment else None) == expected
-        outcomes.add(expected is None)
-    assert outcomes == {False, True}
+        expected = first_contiguous_pne(game)
+        if expected is None and seed % 3:
+            with pytest.raises(PreconditionError, match="not of product form"):
+                solve_contiguous_invariant(game)
+            assert brute_force_pne(game).found is not None
+        else:
+            out = solve_contiguous_invariant(game)
+            assert (out.assignment.loads if out.assignment else None) == expected
+        outcomes.add((expected is None, seed % 3 == 0))
+    assert (False, False) in outcomes and (True, False) in outcomes
 
 
-def test_solver_none_agrees_with_brute_force_on_cyclic_game():
-    # Matching-Pennies payments on load vectors: no equilibrium at all,
-    # so both the contiguous scan and brute force must come up empty
+def test_the_table_cost_fixture_is_a_miss_with_an_equilibrium():
+    game = load_game(FIXTURES / "tablecost_contiguous_miss.json")
+    assert game == _with_table_cost(25, 4, 2)
+    assert concavity_report(game) and not solvers_module._product_costs(game)
+    assert solvers_module._scan_candidates(game) == SolveOutcome(None, 5)
+    assert brute_force_pne(game).found == (1, 2, 2, 2)
+
+
+def pennies_on_loads_game():
+    """Matching-Pennies payments on load vectors under product costs."""
     big, small = F(1000), F(10)
     table = {}
     for i in (1, 2):
@@ -824,8 +857,13 @@ def test_solver_none_agrees_with_brute_force_on_cyclic_game():
                 pay = (big if together else small) if i == 1 else \
                     (small if together else big)
                 table[(i, q, loads)] = pay
-    game = make_game(2, 2, (1, 1), (1, 2),
-                     player_specific_table(loads_table=table))
+    return make_game(2, 2, (1, 1), (1, 2), player_specific_table(loads_table=table))
+
+
+def test_solver_none_agrees_with_brute_force_on_cyclic_game():
+    # no equilibrium at all, so both the contiguous scan and brute force
+    # must come up empty
+    game = pennies_on_loads_game()
     assert brute_force_pne(game).found is None
     assert solvers_module._scan_candidates(game) == SolveOutcome(None, 3)
     with pytest.raises(PreconditionError, match="not three-discrete-concave"):
@@ -893,16 +931,20 @@ def test_a_hit_on_a_concave_game_runs_no_concavity_scan(seed, n, Q, monkeypatch)
 
 def test_a_miss_runs_exactly_one_concavity_scan(monkeypatch):
     concave = _with_table_cost(25, 4, 2)  # concave payments, costs not s*f: no hit
-    cyclic = alone_at_a_quality_game()  # loads-keyed, not concave, no equilibrium
+    cyclic = alone_at_a_quality_game()  # zero table costs, no equilibrium
+    pennies = pennies_on_loads_game()  # product costs, not concave, no equilibrium
     table = load_game(FIXTURES / "nonconcave_contiguous_miss.json")
     scans = counting_scans(monkeypatch)
-    solve_contiguous_invariant(concave)  # its "none" is wrong: ROADMAP item 14
-    assert scans == [concave]
-    with pytest.raises(PreconditionError, match="not three-discrete-concave"):
+    with pytest.raises(PreconditionError, match="not of product form"):
+        solve_contiguous_invariant(concave)
+    with pytest.raises(PreconditionError, match="not of product form"):
         solve_contiguous_specific(cyclic)
+    assert scans == []
+    with pytest.raises(PreconditionError, match="not three-discrete-concave"):
+        solve_contiguous_specific(pennies)
     with pytest.raises(PreconditionError, match=r"loads=\(3, 1, 0\)"):
         solve_contiguous_invariant(table)
-    assert scans == [concave, cyclic, table]
+    assert scans == [pennies, table]
 
 
 def test_the_missed_table_fixture_has_a_non_contiguous_equilibrium():
@@ -1040,6 +1082,11 @@ def test_all_at_lowest_preconditions():
         solve_all_at_lowest(make_game(2, 2, (2, 2), (1, 2), equal_sharing()))
     with pytest.raises(PreconditionError):
         solve_all_at_lowest(make_game(2, 2, (2, 2), (0, 2), proportional()))
+    skill_times_effort = CostFunction("table", ((F(2), F(4), F(6)),) * 2)
+    game = make_game(2, 3, (2, 2), (1, 2, 3), proportional(), cost=skill_times_effort)
+    assert solve_all_at_lowest(game) == (1, 1)
+    with pytest.raises(PreconditionError, match="product skill-effort costs"):
+        solve_all_at_lowest(replace(game, cost=CostFunction("table", ((F(2), F(4), F(5)),) * 2)))
 
 
 # --- normal-form reduction --------------------------------------------------
