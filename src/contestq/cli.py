@@ -40,7 +40,7 @@ from .errors import ContestError
 from .game import ContestGame, Profile, is_pne, load_of, utilities
 from .gamefile import load_game, load_profile, save_game, serialize_game
 from .instances import INSTANCE_IDS, build, verify_certificate
-from .payments import PaymentKind, classify
+from .payments import classify
 from .potential import potential_ascent
 from .rationals import format_rational
 from .solvers import (
@@ -138,10 +138,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             for prof in result.all or ():
                 print(f"pne: {','.join(map(str, prof))}")
     elif method == "contiguous":
-        if game.payment.kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
-            outcome = solve_contiguous_specific(game)
-        else:
+        if game.payment.declared_player_invariant:
             outcome = solve_contiguous_invariant(game)
+        else:
+            outcome = solve_contiguous_specific(game)
         found = outcome.assignment.profile if outcome.assignment else None
         candidates = outcome.candidates
     elif method == "all-at-one":

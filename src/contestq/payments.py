@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import GameValidationError, PreconditionError
 
@@ -65,8 +65,9 @@ class PaymentFunction:
     shared matrix is player-invariant, per-player matrices are not.
     Player-invariant tables map (own quality, full load vector).
     Player-specific tables map either (player, full profile) or
-    (player, own quality, load vector); the contiguous solvers require
-    the load-vector form.  A kind carries exactly the fields
+    (player, own quality, load vector); the player-specific concavity
+    checker and contiguous solver take the load-vector form and
+    per-player matrices.  A kind carries exactly the fields
     `_KIND_FIELDS` lists for it, which `validate_shape` enforces.
     """
 
@@ -202,14 +203,25 @@ def normalization_constant(game: "ContestGame") -> Fraction:
     return ONE / sum(game.efforts[game.Q - K:][-game.n:], ZERO)
 
 
-def compositions(n: int, Q: int):
-    """All load vectors (compositions of n into Q parts), colexicographic."""
-    if Q == 1:
-        yield (n,)
-        return
-    for tail in range(n + 1):
-        for head in compositions(n - tail, Q - 1):
-            yield head + (tail,)
+def compositions(n: int, Q: int) -> Iterator[Loads]:
+    """All load vectors (compositions of n into Q parts), colexicographic.
+
+    An odometer, so any Q works without recursion: the successor of L
+    moves one unit from its first nonzero entry L_j to L_{j+1} and the
+    rest of L_j to L_1.  The last vector puts all n on quality Q.
+    """
+    loads = [n] + [0] * (Q - 1)
+    while True:
+        yield tuple(loads)
+        if loads[-1] == n:
+            return
+        j = 0
+        while not loads[j]:
+            j += 1
+        rest = loads[j] - 1
+        loads[j] = 0
+        loads[j + 1] += 1
+        loads[0] = rest
 
 
 def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Ratio]:
@@ -329,11 +341,14 @@ def _require_invariant(game: "ContestGame", caller: str) -> None:
 
 
 def _require_loads_keyed(game: "ContestGame", caller: str) -> None:
-    """The one test of the (player, own quality, load vector) table form.
+    """The one test of the player-specific (player, own quality, load vector) form.
 
-    Validation admits a loads table under the player-specific kind only.
+    It holds for player-specific loads tables and per-player oblivious
+    matrices: every payment neither profile-keyed nor declared
+    player-invariant.
     """
-    if game.payment.loads_table is None:
+    pf = game.payment
+    if pf.profile_table is not None or pf.declared_player_invariant:
         raise PreconditionError(
             f"{caller} needs payments keyed by (player, own quality, load vector)")
 

@@ -20,8 +20,8 @@ payment, so the contiguous solvers run a checker only to prove a miss,
 and only under product costs.  The solvers'
 agreement with brute force on checker-certified instances is the
 module's master property.  The scans stay exact without `Fraction`
-sums: each player's payments are read once, into one list of integers
-over a common denominator, and the inequalities compare integers.  The
+sums: each payment is read once, into a row of integers over that row's
+own common denominator, and the inequalities compare integers.  The
 payment form a checker or solver accepts is tested in `payments`.
 """
 
@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, compress, islice, product
+from itertools import chain, combinations_with_replacement, compress, product
 from math import comb, lcm
-from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .errors import CapExceededError, ContigufyError, GameValidationError, PreconditionError
@@ -111,7 +110,8 @@ def _stable_profiles(kernel: StabilityKernel, loads: Loads, first: bool = False)
     Players are placed in index order, each trying the qualities with
     room left in ascending order, and a branch is cut where the player
     would leave the quality it tries, so each (player, quality) is
-    decided at most once.
+    decided at most once.  `choice` is the stack of the search: player
+    i's entry is the quality it holds, or 0 before its first try.
     """
     n = sum(loads)
     Q = len(loads)
@@ -119,28 +119,31 @@ def _stable_profiles(kernel: StabilityKernel, loads: Loads, first: bool = False)
     choice = [0] * n
     verdicts: list[Optional[bool]] = [None] * (n * Q)  # slot Q*(i-1) + a-1
     found: list[Profile] = []
-
-    def place(i: int) -> bool:
-        """Place players i..n; True once the search may stop."""
-        if i > n:
-            found.append(tuple(choice))
-            return first
+    i = 1  # the player to move on to its next quality
+    while i:
+        tried = choice[i - 1]
+        if tried:
+            room[tried - 1] += 1
         slot = Q * (i - 1) - 1
-        for a, left in enumerate(room, 1):
-            if left:
+        for a in range(tried + 1, Q + 1):
+            if room[a - 1]:
                 ok = verdicts[slot + a]
                 if ok is None:
                     ok = verdicts[slot + a] = kernel.stays(i, a, loads)
                 if ok:
-                    room[a - 1] -= 1
-                    choice[i - 1] = a
-                    if place(i + 1):
-                        return True
-                    room[a - 1] += 1
-        return False
-
-    place(1)
-    del place  # a recursive closure is a cycle; break it so the kernel is freed now
+                    break
+        else:  # no quality left for player i: back to player i - 1
+            choice[i - 1] = 0
+            i -= 1
+            continue
+        room[a - 1] -= 1
+        choice[i - 1] = a
+        if i < n:
+            i += 1
+        else:
+            found.append(tuple(choice))
+            if first:
+                break
     return found
 
 
@@ -183,77 +186,50 @@ def _concavity_scan(game: ContestGame,
     The neighbourhood of (L, i) reads, for every occupied a, the row
     pay(i, b, L - e_a + e_b) over all b (b = a is L itself).  That row
     depends on D = L - e_a alone, and each payment lies in exactly one
-    row, D = L' - e_b.  Each player keeps one list of integer payments
-    over a common denominator, Q slots per row, and each payment enters
-    it through `payer` once.  The list is filled in blocks of 1, 2, 4, ...
-    load vectors: before a block is checked, the rows it reads that no
-    earlier block read are added, and the list is rescaled only when
-    their denominators raise the lcm.  A neighbourhood's rows then come
-    from the list by one `itemgetter` call, and its inequalities compare
-    integers, with no `Fraction` built and no lcm taken.  A load vector
-    with one occupied quality has no inequality and reads nothing, and an
-    early violation reads only what the blocks up to it need.  Every key
-    read is in the game, and tables are complete, so every read finds a
-    payment.
-
-    The common denominator is the price of reading once: where payments
-    have many distinct denominators and the scan runs to the end, as
-    under proportional allocation at Q = 2, its integers grow long.
+    row, D = L' - e_b.  Rows are kept in a dict keyed by D and read when
+    first needed, through `payer`, for every player at once: each row
+    holds integers over one lcm of its own, shared by all players, so
+    each payment is read once.  An inequality between two rows compares
+    integers cross-multiplied by the two rows' lcms, with no `Fraction`
+    built.  A load vector with one occupied quality has no inequality and
+    reads nothing, and an early violation reads only its own rows.  Every
+    key read is in the game, and tables are complete, so every read finds
+    a payment.
     """
     Q = game.Q
     pay = payer(game)
     qualities = range(1, Q + 1)
-    vectors = compositions(game.n, Q)
-    rows: dict[Loads, int] = {}  # D -> r: slot Q*r + b - 1 holds pay(., b, D + e_b)
-    tables: list[list[int]] = [[] for _ in players]
-    scales = [1] * len(players)
-    size = 1
-    while block := list(islice(vectors, size)):
-        size *= 2
-        fresh: list[tuple[int, Loads]] = []  # (b, D + e_b) for each new row D
-        neighbourhoods = []
-        for loads in block:
-            occupied = tuple(compress(qualities, loads))
-            if len(occupied) < 2:
-                continue
-            slots: list[int] = []
-            for a in occupied:
-                row = loads[:a - 1] + (loads[a - 1] - 1,) + loads[a:]  # L - e_a
-                r = rows.get(row)
-                if r is None:
-                    r = rows[row] = len(rows)
-                    fresh += [(b, _shift(loads, a, b)) for b in qualities]
-                slots += range(Q * r, Q * r + Q)
-            neighbourhoods.append((loads, occupied, itemgetter(*slots)))
+    rows: dict[Loads, tuple[int, list[int]]] = {}  # D -> (d, [d * pay(i, b, D + e_b)] over i, b)
+    for loads in compositions(game.n, Q):
+        occupied = tuple(compress(qualities, loads))
+        if len(occupied) < 2:
+            continue
+        grid = []  # grid[r] is the row of a = occupied[r]
+        for a in occupied:
+            row = loads[:a - 1] + (loads[a - 1] - 1,) + loads[a:]  # L - e_a
+            if row not in rows:
+                keys = [(b, _shift(loads, a, b)) for b in qualities]  # (b, D + e_b)
+                ratios = [pay(i, b, key) for i in players for b, key in keys]
+                d = lcm(*[den for _, den in ratios])
+                rows[row] = (d, [num * (d // den) for num, den in ratios])
+            grid.append(rows[row])
         for t, i in enumerate(players):
-            ratios = [pay(i, b, key) for b, key in fresh]
-            scale = lcm(scales[t], *[den for _, den in ratios])
-            if scale != scales[t]:
-                factor = scale // scales[t]
-                tables[t] = [value * factor for value in tables[t]]
-                scales[t] = scale
-            tables[t] += [num * (scale // den) for num, den in ratios]
-        for loads, occupied, rows_of in neighbourhoods:
-            for i, table in zip(players, tables):
-                grid = rows_of(table)  # row r holds pay(i, b, L - e_a + e_b), a = occupied[r]
-                for r_i, q_i in enumerate(occupied):
-                    row_i = r_i * Q - 1
-                    base = grid[row_i + q_i]
-                    for r_k, q_k in enumerate(occupied):
-                        if q_k == q_i:
-                            continue
-                        row_k = r_k * Q - 1
-                        # swap inequality: deviations into the partner's quality
-                        if q_k > q_i and (grid[row_i + q_k] + grid[row_k + q_i]
-                                          > base + grid[row_k + q_k]):
+            at = Q * t - 1  # a row's slot at + b holds player i's payment at quality b
+            for (d_i, row_i), q_i in zip(grid, occupied):
+                base = row_i[at + q_i]
+                for (d_k, row_k), q_k in zip(grid, occupied):
+                    if q_k == q_i:
+                        continue
+                    # swap inequality: deviations into the partner's quality
+                    if q_k > q_i and ((row_i[at + q_k] - base) * d_k
+                                      > (row_k[at + q_k] - row_k[at + q_i]) * d_i):
+                        return ConcavityReport(False, ConcavityViolation(
+                            i, loads, q_i, q_k, q_k))
+                    for q in qualities:
+                        if q != q_i and q != q_k and (
+                                row_k[at + q] * d_i > (2 * base - row_i[at + q]) * d_k):
                             return ConcavityReport(False, ConcavityViolation(
-                                i, loads, q_i, q_k, q_k))
-                        for q in qualities:
-                            if q == q_i or q == q_k:
-                                continue
-                            if grid[row_k + q] + grid[row_i + q] > 2 * base:
-                                return ConcavityReport(False, ConcavityViolation(
-                                    i, loads, q_i, q_k, q))
+                                i, loads, q_i, q_k, q))
     return ConcavityReport(True)
 
 
@@ -281,10 +257,10 @@ def is_three_discrete_concave_invariant(game: ContestGame) -> ConcavityReport:
 
 
 def concavity_report(game: ContestGame) -> ConcavityReport:
-    """Dispatch to the checker matching the game's payment kind."""
-    if game.payment.kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
-        return is_three_discrete_concave_specific(game)
-    return is_three_discrete_concave_invariant(game)
+    """The player-invariant checker where the payment is declared so, else the specific one."""
+    if game.payment.declared_player_invariant:
+        return is_three_discrete_concave_invariant(game)
+    return is_three_discrete_concave_specific(game)
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,87 @@ def test_the_profile_cap_bounds_only_brute_force(tmp_path, capsys, monkeypatch):
     assert "unrecognized arguments: --max-profiles" in captured.err
 
 
+@pytest.mark.parametrize("command,flag,needed", [
+    (("solve", "--method", "brute"), "--max-profiles", 27),  # 3^3 profiles
+    (("graph", "--mode", "profile"), "--max-nodes", 27),
+    (("graph", "--anonymous"), "--max-nodes", 10),  # C(5, 2) load vectors
+])
+def test_cap_flags_bound_their_command_and_override_the_env_var(
+        tmp_path, capsys, monkeypatch, command, flag, needed):
+    path = tmp_path / "fip.json"
+    save_game(build("fip_voluntary", n=3, Q=3).game, path)
+    argv = (command[0], "--game", str(path), *command[1:])
+    uncapped = run(capsys, *argv)
+    assert uncapped[0] in (0, 1)
+    for cap in (str(needed - 1), str(needed)):
+        monkeypatch.setenv("CONTESTQ_CAP", cap)
+        assert run(capsys, *argv, flag, str(needed)) == uncapped
+        code, out, err = run(capsys, *argv, flag, str(needed - 1))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and f"cap {needed - 1}" in err
+    monkeypatch.setenv("CONTESTQ_CAP", str(needed - 1))
+    assert run(capsys, *argv)[:2] == (2, "")
+
+
+def test_solve_brute_all_prints_every_equilibrium(tmp_path, capsys):
+    from contestq import brute_force_pne
+
+    game = random_game(3, 4, 3, "oblivious-invariant")
+    every = brute_force_pne(game, find_all=True).all
+    assert len(every) > 1
+    path = tmp_path / "many.json"
+    save_game(game, path)
+    code, out, _ = run(capsys, "solve", "--game", str(path), "--method", "brute", "--all")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:len(every)] == [f"pne: {','.join(map(str, p))}" for p in every]
+    assert lines[len(every)] == f"pure Nash equilibrium: {','.join(map(str, every[0]))}"
+
+
+@pytest.mark.parametrize("rising,code,verdict", [
+    (False, 0, "three-discrete-concave: yes\n"),
+    (True, 1, "three-discrete-concave: no (player 1, loads L:2,1, qualities 1,2,2)\n"),
+])
+def test_per_player_matrices_take_the_player_specific_definition(
+        tmp_path, capsys, rising, code, verdict):
+    """Oblivious matrices of a player's own are neither profile-keyed nor
+    player-invariant, so `concavity` and `solve --method contiguous` use the
+    player-specific checker and solver."""
+    from fractions import Fraction as F
+    from contestq import brute_force_pne, oblivious_table
+    from conftest import make_game
+
+    mats = tuple(tuple(tuple(F(q * load, m) if rising else F(q, m * load)
+                             for load in (1, 2, 3)) for q in (1, 2)) for m in (1, 2, 3))
+    game = make_game(3, 2, (1, F(1, 2), F(1, 3)), (1, 2), oblivious_table(matrices=mats))
+    path = tmp_path / "matrices.json"
+    save_game(game, path)
+    assert run(capsys, "concavity", "--game", str(path)) == (code, verdict, "")
+    solved, out, _ = run(capsys, "solve", "--game", str(path), "--method", "contiguous")
+    assert (solved, out.startswith("pure Nash equilibrium: ")) == (0, True)
+    assert brute_force_pne(game).found is not None
+
+
+def test_no_recursion_limit_at_a_thousand_qualities_or_players(tmp_path, capsys):
+    """Load vectors and the brute-force backtracking are loops, not recursion:
+    n = 2, Q = 1200 and n = 1200, Q = 2 keep the exit-code contract."""
+    from contestq import proportional
+    from conftest import make_game
+
+    wide = tmp_path / "wide.json"
+    save_game(make_game(2, 1200, (1, 1), range(1, 1201), proportional()), wide)
+    for argv, want in ((("classify",), 0), (("concavity",), 1),
+                       (("solve", "--method", "contiguous"), 0),
+                       (("solve", "--method", "potential"), 2)):
+        code, _, err = run(capsys, argv[0], "--game", str(wide), *argv[1:])
+        assert code == want and "Traceback" not in err, argv
+    many = tmp_path / "many.json"
+    save_game(make_game(1200, 2, (1,) * 1200, (1, 2), proportional()), many)
+    code, out, _ = run(capsys, "solve", "--game", str(many), "--method", "brute",
+                       "--max-profiles", str(10**400))
+    assert code == 0 and out.startswith(f"pure Nash equilibrium: {','.join(['1'] * 1200)}\n")
+
+
 def test_classify_and_potential_decide_tables_beyond_the_profile_cap(tmp_path, capsys):
     paths = {}
     for name, game in beyond_cap_table_games().items():

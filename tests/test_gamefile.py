@@ -11,7 +11,10 @@ from contestq import (
     Participation,
     build,
     compositions,
+    equal_sharing,
+    ktop,
     load_game,
+    oblivious_table,
     parse_game,
     player_invariant_table,
     player_specific_table,
@@ -21,6 +24,8 @@ from contestq import (
 )
 from contestq.rationals import RationalParseError, format_rational, parse_rational
 from fractions import Fraction as F
+
+from conftest import make_game
 
 
 def test_rational_parsing():
@@ -59,12 +64,25 @@ def test_round_trip_catalog_games(iid, kwargs):
     assert parse_game(json.loads(json.dumps(serialize_game(game)))) == game
 
 
+# the payment kinds no random family draws, on a voluntary 3-player game
+CLOSED_AND_MATRIX_PAYMENTS = {
+    "equal_sharing": equal_sharing(),
+    "ktop": ktop(1),
+    "per-player-matrices": oblivious_table(matrices=tuple(
+        tuple(tuple(F(q + i, load) for load in (1, 2, 3)) for q in (1, 2)) for i in (1, 2, 3))),
+}
+
+
 @pytest.mark.parametrize("family", [
     "oblivious-invariant", "concave-specific", "concave-invariant",
-    "proportional",
+    "proportional", *CLOSED_AND_MATRIX_PAYMENTS,
 ])
 def test_round_trip_random_games(family):
-    game = random_game(7, 3, 2, family)
+    if family in CLOSED_AND_MATRIX_PAYMENTS:
+        game = make_game(3, 2, (1, F(1, 2), F(2, 3)), (0, F(3, 2)),
+                         CLOSED_AND_MATRIX_PAYMENTS[family])
+    else:
+        game = random_game(7, 3, 2, family)
     assert parse_game(json.loads(json.dumps(serialize_game(game)))) == game
 
 

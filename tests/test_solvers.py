@@ -476,7 +476,7 @@ def reference_concavity(game):
     before the exchange form over q).
     """
     n, Q = game.n, game.Q
-    specific = game.payment.kind is PaymentKind.PLAYER_SPECIFIC_TABLE
+    specific = not game.payment.declared_player_invariant
 
     def pay(player, quality, loads):
         rest = [q for q in game.qualities()
@@ -585,10 +585,7 @@ def test_concavity_gate_matches_the_definition(seed):
     verdicts = set()
     for game in checked_games(seed):
         pf = game.payment
-        if pf.kind is PaymentKind.PLAYER_SPECIFIC_TABLE:
-            checkable = pf.loads_table is not None
-        else:
-            checkable = pf.declared_player_invariant
+        checkable = pf.profile_table is None  # one definition or the other takes the rest
         if not checkable:
             with pytest.raises(PreconditionError):
                 concavity_report(game)
