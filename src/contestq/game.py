@@ -233,10 +233,9 @@ class StabilityKernel:
     compares Q utilities, each computed once per (player, quality, key).
     Verdicts are not memoized, as brute force and the contiguous scan
     each decide a (player, quality, L) at most once.  Under profile-keyed
-    tables the profile itself is the key.  Under declared player-invariant
-    payments each payment is read once per (quality, key) and shared by
-    every player; other payments are read once per (player, quality,
-    key).  Memos live in the instance, so build one kernel per game for a
+    tables the profile itself is the key.  The one memo holds utilities,
+    so every payment is read at most once per (player, quality, key).
+    The memo lives in the instance, so build one kernel per game for a
     scan, a walk or a graph.
 
     Payments and costs arrive as integer pairs, utilities are kept as
@@ -252,8 +251,6 @@ class StabilityKernel:
                             for i in game.players())
         self._by_profile = game.payment.profile_table is not None
         self._payment = payer(game)
-        self._shared: Optional[dict[tuple[int, tuple[int, ...]], tuple[int, int]]] = (
-            {} if game.payment.declared_player_invariant else None)
         self._utilities: dict[tuple[int, int, tuple[int, ...]], tuple[int, int]] = {}
 
     def stable(self, profile: Profile) -> bool:
@@ -330,14 +327,7 @@ class StabilityKernel:
         memo_key = (i, q, key)
         value = self._utilities.get(memo_key)
         if value is None:
-            shared = self._shared
-            if shared is None:
-                pn, pd = self._payment(i, q, key)
-            else:
-                pay = shared.get((q, key))
-                if pay is None:
-                    pay = shared[(q, key)] = self._payment(i, q, key)
-                pn, pd = pay
+            pn, pd = self._payment(i, q, key)
             cn, cd = self._costs[i - 1][q - 1]
             value = self._utilities[memo_key] = (pn * cd - cn * pd, pd * cd)
         return value

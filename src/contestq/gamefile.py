@@ -40,11 +40,17 @@ from .payments import (
     equal_sharing,
     ktop,
     oblivious_table,
-    player_invariant_table,
-    player_specific_table,
     proportional,
 )
 from .rationals import format_rational, parse_rational
+
+
+# each table field of PaymentFunction: its entries' keys in key order, True for a list
+_TABLE_KEYS = {
+    "invariant_table": {"q": False, "loads": True},
+    "profile_table": {"player": False, "profile": True},
+    "loads_table": {"player": False, "q": False, "loads": True},
+}
 
 
 def _require_keys(obj: object, required: set[str], optional: set[str],
@@ -135,54 +141,34 @@ def _parse_payment(obj: object) -> PaymentFunction:
             return oblivious_table(matrix=_rational_rows(obj["table"], "payment.table"))
         return oblivious_table(matrices=tuple(
             _rational_rows(m, "payment.tables") for m in _list(obj["tables"], "payment.tables")))
-    if kind == "player_invariant":
-        _require_keys(obj, {"type", "table"}, set(), "payment")
-        table = {}
-        for entry in _list(obj["table"], "payment.table"):
-            _require_keys(entry, {"q", "loads", "pay"}, set(),
-                          "player_invariant entry")
-            key = (_int(entry["q"], "q"), tuple(_int_list(entry["loads"], "loads")))
-            if key in table:
-                raise GameValidationError(f"duplicate invariant entry {key}")
-            table[key] = parse_rational(entry["pay"])
-        return player_invariant_table(table)
-    if kind == "player_specific":
+    if kind in ("player_invariant", "player_specific"):
         _require_keys(obj, {"type", "table"}, set(), "payment")
         entries = _list(obj["table"], "payment.table")
-        by_profile = entries and isinstance(entries[0], Mapping) and "profile" in entries[0]
-        profile_table: dict = {}
-        loads_table: dict = {}
+        if kind == "player_invariant":
+            field = "invariant_table"
+        elif entries and isinstance(entries[0], Mapping) and "profile" in entries[0]:
+            field = "profile_table"
+        else:
+            field = "loads_table"
+        names = _TABLE_KEYS[field]
+        required, where = {*names, "pay"}, f"{kind} entry"
+        table: dict = {}
         for entry in entries:
-            if by_profile:
-                _require_keys(entry, {"player", "profile", "pay"}, set(),
-                              "player_specific entry")
-                key = (_int(entry["player"], "player"),
-                       tuple(_int_list(entry["profile"], "profile")))
-                target: dict = profile_table
-            else:
-                _require_keys(entry, {"player", "q", "loads", "pay"}, set(),
-                              "player_specific entry")
-                key = (_int(entry["player"], "player"), _int(entry["q"], "q"),
-                       tuple(_int_list(entry["loads"], "loads")))
-                target = loads_table
-            if key in target:
-                raise GameValidationError(f"duplicate player_specific entry {key}")
-            target[key] = parse_rational(entry["pay"])
-        if by_profile:
-            return player_specific_table(profile_table=profile_table)
-        return player_specific_table(loads_table=loads_table)
+            _require_keys(entry, required, set(), where)
+            key = tuple([tuple(_int_list(entry[name], name)) if is_list
+                         else _int(entry[name], name) for name, is_list in names.items()])
+            if key in table:
+                raise GameValidationError(f"duplicate {kind} entry {key}")
+            table[key] = parse_rational(entry["pay"])
+        return PaymentFunction(kind=PaymentKind(kind), **{field: table})
     raise GameValidationError(f"unknown payment type {kind!r}")
 
 
 def serialize_game(game: ContestGame) -> dict:
     """Inverse of parse_game; emits canonical 'p/q' strings."""
-    cost: dict
-    if game.cost.kind == "product":
-        cost = {"kind": "product"}
-    else:
-        assert game.cost.table is not None
-        cost = {"kind": "table", "values": [
-            [format_rational(v) for v in row] for row in game.cost.table]}
+    cost: dict = {"kind": game.cost.kind}
+    if game.cost.table is not None:
+        cost["values"] = _format_rows(game.cost.table)
     return {
         "n": game.n,
         "Q": game.Q,
@@ -194,43 +180,28 @@ def serialize_game(game: ContestGame) -> dict:
     }
 
 
+def _format_rows(rows: tuple[tuple[Fraction, ...], ...]) -> list[list[str]]:
+    return [[format_rational(v) for v in row] for row in rows]
+
+
 def _serialize_payment(pf: PaymentFunction) -> dict:
-    kind = pf.kind
-    if kind is PaymentKind.PROPORTIONAL:
-        return {"type": "proportional"}
-    if kind is PaymentKind.EQUAL_SHARING:
-        return {"type": "equal_sharing"}
-    if kind is PaymentKind.KTOP:
-        return {"type": "ktop", "K": pf.K}
-    if kind is PaymentKind.OBLIVIOUS_TABLE:
-        if pf.matrix is not None:
-            return {"type": "oblivious", "table": [
-                [format_rational(v) for v in row] for row in pf.matrix]}
-        assert pf.matrices is not None
-        return {"type": "oblivious", "tables": [
-            [[format_rational(v) for v in row] for row in mat]
-            for mat in pf.matrices]}
-    if kind is PaymentKind.PLAYER_INVARIANT_TABLE:
-        assert pf.invariant_table is not None
-        entries = [
-            {"q": q, "loads": list(loads), "pay": format_rational(pay)}
-            for (q, loads), pay in sorted(pf.invariant_table.items())
-        ]
-        return {"type": "player_invariant", "table": entries}
-    assert kind is PaymentKind.PLAYER_SPECIFIC_TABLE
-    if pf.profile_table is not None:
-        entries = [
-            {"player": i, "profile": list(prof), "pay": format_rational(pay)}
-            for (i, prof), pay in sorted(pf.profile_table.items())
-        ]
-    else:
-        assert pf.loads_table is not None
-        entries = [
-            {"player": i, "q": q, "loads": list(loads),
-             "pay": format_rational(pay)}
-            for (i, q, loads), pay in sorted(pf.loads_table.items())
-        ]
-    return {"type": "player_specific", "table": entries}
+    """The payment's type and each of its non-None fields, under its file name."""
+    out: dict = {"type": pf.kind.value}
+    if pf.K is not None:
+        out["K"] = pf.K
+    if pf.matrix is not None:
+        out["table"] = _format_rows(pf.matrix)
+    if pf.matrices is not None:
+        out["tables"] = [_format_rows(mat) for mat in pf.matrices]
+    for field, names in _TABLE_KEYS.items():
+        table = getattr(pf, field)
+        if table is not None:
+            out["table"] = [
+                {**{name: list(part) if is_list else part
+                    for (name, is_list), part in zip(names.items(), key)},
+                 "pay": format_rational(pay)}
+                for key, pay in sorted(table.items())]
+    return out
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -293,7 +293,7 @@ def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Ratio]:
 def validate_profile(game: "ContestGame", profile: Profile) -> None:
     if len(profile) != game.n:
         raise GameValidationError(
-            f"profile has {len(profile)} entries for an {game.n}-player game"
+            f"profile has {len(profile)} entries; the game has {game.n} players"
         )
     for q in profile:
         if not isinstance(q, int) or not 1 <= q <= game.Q:

@@ -1,20 +1,26 @@
-"""Catalog, random and normal-form games serialize to pinned bytes.
+"""Catalog, random, normal-form and file-fixture games serialize to pinned bytes.
 
 Each digest is the sha256 of `json.dumps(serialize_game(game),
 sort_keys=True)`, so a game that the catalog, a random family or the
 normal-form reduction builds differently from before fails here, across
 processes and versions, which `test_random_game_is_deterministic` (two
-calls in one process) cannot see.
+calls in one process) cannot see.  The payment and cost forms that no
+catalog or random game uses are pinned too, so a change to how the
+codec writes them fails here, not only on a round trip.
 """
 
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from contestq import build, random_game, reduce_from_normal_form, serialize_game
+from contestq import build, load_game, random_game, reduce_from_normal_form, serialize_game
 from contestq.instances import FAMILIES, INSTANCE_IDS
+
+from conftest import make_game
+from test_gamefile import CLOSED_AND_MATRIX_PAYMENTS
 
 
 def digest(game):
@@ -154,6 +160,18 @@ NORMAL_FORM = [  # (reduce_from_normal_form keywords, digest)
 ]
 
 
+CLOSED_AND_MATRIX = {  # payment: digest, on the game of `test_round_trip_random_games`
+    "equal_sharing": "e398ebfa3c2df9e6bfd24eb51c497dea47f60727818663ff07a55062b5f3e439",
+    "ktop": "261d2773e68649018ed1f54e676fb08fd7f14d5dca28b5178523a9ef6150d96f",
+    "per-player-matrices": "f51503f37f23ec85e2be46533da3286fb8933c03648d2c82678078686f81a51d",
+}
+
+FIXTURES = {  # file under tests/fixtures: digest
+    "tablecost_contiguous_miss.json":
+        "6a3b09807bf10f479856ba78af82a4a68c064e924a8273f3838f66776f9f0521",
+}
+
+
 def test_catalog_pins_every_instance():
     assert {iid for iid, _, _ in CATALOG} == set(INSTANCE_IDS)
     assert set(RANDOM) == set(FAMILIES)
@@ -173,3 +191,15 @@ def test_random_games_serialize_to_pinned_bytes(family):
 @pytest.mark.parametrize("kwargs,expected", NORMAL_FORM)
 def test_normal_form_game_serializes_to_pinned_bytes(kwargs, expected):
     assert digest(reduce_from_normal_form(_payoffs(), **kwargs)) == expected
+
+
+@pytest.mark.parametrize("payment", sorted(CLOSED_AND_MATRIX_PAYMENTS))
+def test_closed_form_and_matrix_payments_serialize_to_pinned_bytes(payment):
+    game = make_game(3, 2, (1, F(1, 2), F(2, 3)), (0, F(3, 2)),
+                     CLOSED_AND_MATRIX_PAYMENTS[payment])
+    assert digest(game) == CLOSED_AND_MATRIX[payment]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_game_serializes_to_pinned_bytes(name):
+    assert digest(load_game(Path(__file__).parent / "fixtures" / name)) == FIXTURES[name]

@@ -270,17 +270,16 @@ def test_integer_kernel_is_exact_and_strict(seed):
 
 @pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
 def test_brute_force_reads_each_payment_once(seed, monkeypatch):
-    """Shared payments are read once per (quality, key), others once per
-    (player, quality, key), however many players and profiles need them."""
+    """Every payment kind is read at most once per (player, quality, key),
+    however many profiles need it."""
     reads = Counter()
     real_payer = game_module.payer
 
     def counting_payer(game):
         pay = real_payer(game)
-        shared = game.payment.declared_player_invariant
 
         def read(player, quality, key):
-            reads[(quality, key) if shared else (player, quality, key)] += 1
+            reads[(player, quality, key)] += 1
             return pay(player, quality, key)
         return read
 
@@ -529,8 +528,8 @@ def coprime_closed_form_games(n, Q):
     return games
 
 
-# colex ranks past the gate's first block of two, and the first and last
-# ranks of its blocks of 4, 8 and 16 load vectors (ranks 3-6, 7-14, 15-30)
+# colex ranks of the perturbed load vectors, from early to late in the
+# gate's one pass; a table with fewer load vectors skips the ranks past its last
 PERTURBED_RANKS = (3, 4, 6, 7, 14, 15, 30)
 
 
@@ -630,8 +629,9 @@ def test_concavity_gate_reads_each_payment_once(n, Q, monkeypatch):
 
 @pytest.mark.parametrize("n", [30, 60])
 def test_concavity_gate_stops_reading_at_an_early_violation(n, monkeypatch):
-    """Proportional payments at Q = 4 fail at colex rank 1, inside the
-    scan's second block, which reads at most 2 * Q^2 payments."""
+    """Proportional payments at Q = 4 fail at colex rank 1, the first load
+    vector with two occupied qualities, so the scan reads only its two
+    rows of Q payments, within 2 * Q^2."""
     Q = 4
     game = random_game(n, n, Q, "proportional")
     reads = counting_gate_payer(monkeypatch)
