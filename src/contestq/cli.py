@@ -93,50 +93,41 @@ def parse_state(game: ContestGame, text: str) -> Profile:
     return parse_profile(text)
 
 
-def _emit_pne(game: ContestGame, profile: Profile, fmt: str, method: str,
-              candidates: int) -> None:
-    loads = load_of(profile, game.Q)
-    values = list(map(format_rational, utilities(game, profile)))
-    if fmt == "json":
-        print(json.dumps({
-            "status": "pne",
-            "method": method,
-            "profile": list(profile),
-            "loads": list(loads),
-            "utilities": values,
-            "candidates": candidates,
-        }, sort_keys=True))
-    else:
-        print(f"pure Nash equilibrium: {','.join(map(str, profile))}")
-        print(f"loads: L:{','.join(map(str, loads))}")
-        print(f"utilities: {' '.join(values)}")
-        print(f"candidates checked: {candidates}")
+def _emit(game: ContestGame, found: Optional[Profile], fmt: str, method: str,
+          candidates: int, message: str, every: Optional[Sequence[Profile]]) -> None:
+    """Print `solve`'s result: the equilibrium `found`, or `message` if it is None.
 
-
-def _emit_none(fmt: str, method: str, candidates: int, message: str) -> None:
-    if fmt == "json":
-        print(json.dumps({
-            "status": "none",
-            "method": method,
-            "candidates": candidates,
-            "message": message,
-        }, sort_keys=True))
+    `every` lists every equilibrium under `--all`, and is None without it.
+    """
+    fields: dict = {"method": method, "candidates": candidates}
+    if found is None:
+        fields.update(status="none", message=message)
+        lines = [message]
     else:
-        print(message)
+        loads = load_of(found, game.Q)
+        values = list(map(format_rational, utilities(game, found)))
+        fields.update(status="pne", profile=list(found), loads=list(loads), utilities=values)
+        lines = [f"pure Nash equilibrium: {','.join(map(str, found))}",
+                 f"loads: L:{','.join(map(str, loads))}",
+                 f"utilities: {' '.join(values)}",
+                 f"candidates checked: {candidates}"]
+    if every is not None:
+        fields["all"] = [list(p) for p in every]
+        lines[:0] = [f"pne: {','.join(map(str, p))}" for p in every]
+    print(json.dumps(fields, sort_keys=True) if fmt == "json" else "\n".join(lines))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    method = args.method
+    if args.all and method != "brute":
+        raise ContestError(f"--all needs --method brute, not {method}")
     game = load_game(args.game)
     started = time.perf_counter()
-    method = args.method
+    every = None
     if method == "brute":
         cap = _cap(DEFAULT_PROFILE_CAP, args.max_profiles)
         result = brute_force_pne(game, find_all=args.all, cap=cap)
-        found = result.found
-        candidates = result.scanned
-        if found is not None and args.all and args.format == "text":
-            for prof in result.all or ():
-                print(f"pne: {','.join(map(str, prof))}")
+        found, candidates, every = result.found, result.scanned, result.all
     elif method == "contiguous":
         if game.payment.declared_player_invariant:
             outcome = solve_contiguous_invariant(game)
@@ -154,16 +145,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ContestError(f"unknown method {method!r}")
     elapsed = time.perf_counter() - started
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    if found is None:
-        scanned_note = (f"no pure Nash equilibrium ({candidates} profiles scanned)"
-                        if method == "brute" else
-                        f"no pure Nash equilibrium ({candidates} candidates checked)"
-                        if method == "contiguous" else
-                        "no pure Nash equilibrium under this method's guarantee")
-        _emit_none(args.format, method, candidates, scanned_note)
-        return 1
-    _emit_pne(game, found, args.format, method, candidates)
-    return 0
+    message = (f"no pure Nash equilibrium ({candidates} profiles scanned)"
+               if method == "brute" else
+               f"no pure Nash equilibrium ({candidates} candidates checked)"
+               if method == "contiguous" else
+               "no pure Nash equilibrium under this method's guarantee")
+    _emit(game, found, args.format, method, candidates, message, every)
+    return 1 if found is None else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -283,7 +271,7 @@ def make_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", required=True,
                        choices=("brute", "contiguous", "all-at-one", "potential"))
     solve.add_argument("--all", action="store_true",
-                       help="with brute: list every equilibrium")
+                       help="list every equilibrium (--method brute only)")
     solve.add_argument("--format", default="text", choices=("text", "json"))
     solve.add_argument("--max-profiles", type=int, default=None,
                        help="cap on the profiles --method brute scans "

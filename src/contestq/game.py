@@ -224,19 +224,25 @@ def _shift(loads: Loads, down: int, up: int) -> Loads:
     return tuple(moved)
 
 
+def _cost_rows(game: ContestGame) -> list[list[tuple[int, int]]]:
+    """Every `cost_ratio` of `game` at once: row i - 1 holds player i's."""
+    if game.cost.table is not None:
+        return [[c.as_integer_ratio() for c in row] for row in game.cost.table]
+    efforts = [f.as_integer_ratio() for f in game.efforts]
+    return [[(sn * fn, sd * fd) for fn, fd in efforts]
+            for sn, sd in (s.as_integer_ratio() for s in game.skills)]
+
+
 class StabilityKernel:
     """The deviation kernel: every unilateral-switch scan of one game.
 
-    Except under profile-keyed tables, a player's utility depends only
-    on (player, own quality, load vector L), so whether player i gains
-    by leaving quality a depends on (i, a, L) alone: `stays(i, a, L)`
-    compares Q utilities, each computed once per (player, quality, key).
-    Verdicts are not memoized, as brute force and the contiguous scan
-    each decide a (player, quality, L) at most once.  Under profile-keyed
-    tables the profile itself is the key.  The one memo holds utilities,
-    so every payment is read at most once per (player, quality, key).
-    The memo lives in the instance, so build one kernel per game for a
-    scan, a walk or a graph.
+    Whether player i gains by leaving quality a compares the player's
+    deviation row, u_i(b) for b = 1..Q with the others held where they
+    are: at the load vector less e_a, or under profile-keyed tables at
+    the profile with slot i set to 0.  The one memo holds rows, keyed by
+    (that rest, i), so every payment is read at most once per (player,
+    quality, key).  The memo lives in the instance, so build one kernel
+    per game for a scan, a walk or a graph.
 
     Payments and costs arrive as integer pairs, utilities are kept as
     unreduced integer pairs (numerator, positive denominator), and u_b >
@@ -245,17 +251,22 @@ class StabilityKernel:
     """
 
     def __init__(self, game: ContestGame) -> None:
-        self._Q = game.Q
         self._qualities = game.qualities()
-        self._costs = tuple(tuple(game.cost_ratio(i, q) for q in self._qualities)
-                            for i in game.players())
-        self._by_profile = game.payment.profile_table is not None
+        self._costs = _cost_rows(game)
+        # The one branch on the key form: how a profile becomes the payer's key,
+        # and how player i at quality b adds `step` to slot `at` of the rest.
+        if game.payment.profile_table is not None:
+            self._key = tuple
+            self._moves = [[(i, b) for b in self._qualities] for i in range(game.n)]
+        else:
+            self._key = lambda profile: load_of(profile, game.Q)
+            self._moves = [[(b - 1, 1) for b in self._qualities]] * game.n
         self._payment = payer(game)
-        self._utilities: dict[tuple[int, int, tuple[int, ...]], tuple[int, int]] = {}
+        self._rows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
     def stable(self, profile: Profile) -> bool:
         """True iff `profile` is a pure Nash equilibrium."""
-        key = profile if self._by_profile else load_of(profile, self._Q)
+        key = self._key(profile)
         return all(self.stays(i, a, key) for i, a in enumerate(profile, 1))
 
     def improvements(self, profile: Profile) -> Iterator[Deviation]:
@@ -264,7 +275,7 @@ class StabilityKernel:
         Players in index order, then target qualities ascending.
         """
         profile = tuple(profile)
-        key = profile if self._by_profile else load_of(profile, self._Q)
+        key = self._key(profile)
         for i, a in enumerate(profile, 1):
             for b, num, den in self.gains(i, a, key):
                 yield Deviation(i, b, Fraction(num, den))
@@ -275,59 +286,38 @@ class StabilityKernel:
         The pair is unreduced.  `key` is the load vector, or the profile
         under profile-keyed tables; player i holds quality a in it.
         """
-        hn, hd = self._utility(i, a, key)
-        moved = list(key)
+        row = self._row(i, a, key)
+        hn, hd = row[a - 1]
         out = []
-        if self._by_profile:
-            for b in self._qualities:
-                if b != a:
-                    moved[i - 1] = b
-                    bn, bd = self._utility(i, b, tuple(moved))
-                    if bn * hd > hn * bd:
-                        out.append((b, bn * hd - hn * bd, bd * hd))
-            return out
-        moved[a - 1] -= 1
-        for b in self._qualities:
-            if b != a:
-                moved[b - 1] += 1
-                bn, bd = self._utility(i, b, tuple(moved))
-                moved[b - 1] -= 1
-                if bn * hd > hn * bd:
-                    out.append((b, bn * hd - hn * bd, bd * hd))
+        for b, (bn, bd) in enumerate(row, 1):
+            if bn * hd > hn * bd:
+                out.append((b, bn * hd - hn * bd, bd * hd))
         return out
 
     def stays(self, i: int, a: int, key: tuple[int, ...]) -> bool:
-        """No switch of player i from quality a strictly gains at `key`.
-
-        The same test as an empty `gains(i, a, key)`, written out because
-        every scan calls it for each (player, quality, key) it decides.
-        """
-        hn, hd = self._utility(i, a, key)
-        moved = list(key)
-        if self._by_profile:
-            for b in self._qualities:
-                if b != a:
-                    moved[i - 1] = b
-                    bn, bd = self._utility(i, b, tuple(moved))
-                    if bn * hd > hn * bd:
-                        return False
-            return True
-        moved[a - 1] -= 1
-        for b in self._qualities:
-            if b != a:
-                moved[b - 1] += 1
-                bn, bd = self._utility(i, b, tuple(moved))
-                moved[b - 1] -= 1
-                if bn * hd > hn * bd:
-                    return False
+        """No switch of player i from quality a strictly gains at `key`."""
+        row = self._row(i, a, key)
+        hn, hd = row[a - 1]
+        for bn, bd in row:
+            if bn * hd > hn * bd:
+                return False
         return True
 
-    def _utility(self, i: int, q: int, key: tuple[int, ...]) -> tuple[int, int]:
-        """Payment minus cost as (numerator, denominator > 0), unreduced."""
-        memo_key = (i, q, key)
-        value = self._utilities.get(memo_key)
-        if value is None:
-            pn, pd = self._payment(i, q, key)
-            cn, cd = self._costs[i - 1][q - 1]
-            value = self._utilities[memo_key] = (pn * cd - cn * pd, pd * cd)
-        return value
+    def _row(self, i: int, a: int, key: tuple[int, ...]) -> list[tuple[int, int]]:
+        """Player i's deviation row at `key`: u_i(b) for b = 1..Q, each an
+        unreduced (numerator, denominator > 0) pair."""
+        moves = self._moves[i - 1]
+        rest = list(key)
+        at, step = moves[a - 1]
+        rest[at] -= step
+        memo_key = (*rest, i)
+        row = self._rows.get(memo_key)
+        if row is None:
+            row = []
+            for b, (at, step), (cn, cd) in zip(self._qualities, moves, self._costs[i - 1]):
+                rest[at] += step
+                pn, pd = self._payment(i, b, tuple(rest))
+                rest[at] -= step
+                row.append((pn * cd - cn * pd, pd * cd))
+            self._rows[memo_key] = row
+        return row

@@ -292,9 +292,8 @@ def payer(game: "ContestGame") -> Callable[[Optional[int], int, Key], Ratio]:
 
 def validate_profile(game: "ContestGame", profile: Profile) -> None:
     if len(profile) != game.n:
-        raise GameValidationError(
-            f"profile has {len(profile)} entries; the game has {game.n} players"
-        )
+        entries = "1 entry" if len(profile) == 1 else f"{len(profile)} entries"
+        raise GameValidationError(f"profile has {entries}; the game has {game.n} players")
     for q in profile:
         if not isinstance(q, int) or not 1 <= q <= game.Q:
             raise GameValidationError(f"quality {q!r} outside 1..{game.Q}")

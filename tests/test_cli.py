@@ -380,6 +380,46 @@ def test_solve_brute_all_prints_every_equilibrium(tmp_path, capsys):
     assert lines[len(every)] == f"pure Nash equilibrium: {','.join(map(str, every[0]))}"
 
 
+def test_solve_brute_all_json_carries_every_equilibrium(tmp_path, capsys):
+    """`--all` adds the list "all" to the JSON object, empty on "none";
+    without `--all` the object is unchanged."""
+    path = tmp_path / "fip.json"
+    save_game(build("fip_voluntary", n=3, Q=3).game, path)
+    solve = ("solve", "--game", str(path), "--method", "brute", "--format", "json")
+    code, out, _ = run(capsys, *solve, "--all")
+    payload = json.loads(out)
+    assert code == 0 and payload.pop("all") == [[1, 1, 1], [1, 1, 2], [1, 2, 1], [2, 1, 1]]
+    code, plain, _ = run(capsys, *solve)
+    assert code == 0 and json.loads(plain) == payload and "all" not in plain
+    text = run(capsys, *solve[:-2], "--all")[1]
+    assert text.count("pne: ") == 4
+    save_game(build("ce1").game, path)
+    code, out, _ = run(capsys, *solve, "--all")
+    payload = json.loads(out)
+    assert code == 1 and payload["status"] == "none" and payload.pop("all") == []
+    assert json.loads(run(capsys, *solve)[1]) == payload
+
+
+@pytest.mark.parametrize("method", ["contiguous", "all-at-one", "potential"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_all_needs_the_brute_method(wow_path, capsys, method, fmt):
+    code, out, err = run(capsys, "solve", "--game", wow_path, "--method", method,
+                         "--all", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: --all needs --method brute, not {method}\n"
+    assert run(capsys, "solve", "--game", wow_path, "--method", method,
+               "--format", fmt)[0] in (0, 1)
+
+
+@pytest.mark.parametrize("flag", ["verify --profile", "dynamics --start"])
+@pytest.mark.parametrize("text,count", [("1", "1 entry"), ("1,1,1", "3 entries")])
+def test_a_profile_of_the_wrong_length_names_its_entries(wow_path, capsys, flag, text, count):
+    command, option = flag.split()
+    code, out, err = run(capsys, command, "--game", wow_path, option, text)
+    assert (code, out) == (2, "")
+    assert err == f"error: profile has {count}; the game has 2 players\n"
+
+
 @pytest.mark.parametrize("rising,code,verdict", [
     (False, 0, "three-discrete-concave: yes\n"),
     (True, 1, "three-discrete-concave: no (player 1, loads L:2,1, qualities 1,2,2)\n"),

@@ -17,7 +17,7 @@ from contestq import (
     proportional,
     utility,
 )
-from contestq.game import CostMonotonicityWarning
+from contestq.game import CostMonotonicityWarning, _cost_rows
 
 from conftest import make_game
 
@@ -153,6 +153,8 @@ def test_cost_ratio_is_cost_of_as_an_integer_pair(kind, voluntary, seed):
                         else skills[i - 1] * efforts[q - 1])
             assert den > 0
             assert F(num, den) == game.cost_of(i, q) == expected
+    assert _cost_rows(game) == [[game.cost_ratio(i, q) for q in game.qualities()]
+                                for i in game.players()]
 
 
 def test_voluntary_cost_table_must_be_zero_at_quality_one():

@@ -269,6 +269,31 @@ def test_integer_kernel_is_exact_and_strict(seed):
 
 
 @pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
+def test_kernel_verdicts_do_not_depend_on_the_memo_order(seed):
+    """`stays` and `gains` share one memo: whichever fills it first, and on
+    one kernel asked everything, `stays` is an empty `gains`, and the gains
+    are the reference deviations."""
+    games = kernel_games(seed) + scaled_games(seed) + tie_games()
+    for game in games:
+        profiles = list(product(game.qualities(), repeat=game.n))
+        keys = {p: payments_module._payment_key(game, p) for p in profiles}
+        asks = [(i, a, keys[p]) for p in profiles for i, a in enumerate(p, 1)]
+        stays_first, gains_first, warm = (StabilityKernel(game) for _ in range(3))
+        stays = [stays_first.stays(*ask) for ask in asks]
+        gains = [gains_first.gains(*ask) for ask in asks]
+        assert stays == [gains_first.stays(*ask) for ask in asks] == \
+            [not gain for gain in gains]
+        assert gains == [stays_first.gains(*ask) for ask in asks]
+        for ask, stay, gain in zip(asks, stays, gains):
+            assert (warm.stays(*ask), warm.gains(*ask), warm.stays(*ask)) == \
+                (stay, gain, stay)
+        for p in profiles:
+            ref = reference_improvements(game, p)
+            assert [Deviation(i, b, F(num, den)) for i, a in enumerate(p, 1)
+                    for b, num, den in warm.gains(i, a, keys[p])] == ref
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
 def test_brute_force_reads_each_payment_once(seed, monkeypatch):
     """Every payment kind is read at most once per (player, quality, key),
     however many profiles need it."""
