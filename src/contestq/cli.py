@@ -12,6 +12,7 @@ inputs and seed give byte-identical stdout; timing goes to stderr.
 The CONTESTQ_CAP environment variable overrides the default caps of
 10^6 profiles for `solve --method brute` (as does --max-profiles) and
 10^5 nodes for `graph` (as does --max-nodes); no other command reads it.
+A cap must be an integer >= 0.
 
 `main(argv)` may be called any number of times in one process: it
 builds its argument parser once and reuses it (see `make_parser`).
@@ -54,16 +55,21 @@ from .solvers import (
 )
 
 
-def _cap(default: int, override: Optional[int]) -> int:
+def _cap(default: int, override: Optional[int], flag: str) -> int:
+    """The flag's value, else CONTESTQ_CAP, else `default`; a negative cap is an error."""
     if override is not None:
-        return override
-    env = os.environ.get("CONTESTQ_CAP")
-    if not env:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ContestError(f"CONTESTQ_CAP={env!r} is not an integer") from None
+        cap, source = override, flag
+    else:
+        env = os.environ.get("CONTESTQ_CAP")
+        if not env:
+            return default
+        try:
+            cap, source = int(env), "CONTESTQ_CAP"
+        except ValueError:
+            raise ContestError(f"CONTESTQ_CAP={env!r} is not an integer") from None
+    if cap < 0:
+        raise ContestError(f"{source} must be >= 0, got {cap}")
+    return cap
 
 
 def parse_profile(text: str) -> Profile:
@@ -125,7 +131,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     every = None
     if method == "brute":
-        cap = _cap(DEFAULT_PROFILE_CAP, args.max_profiles)
+        cap = _cap(DEFAULT_PROFILE_CAP, args.max_profiles, "--max-profiles")
         result = brute_force_pne(game, find_all=args.all, cap=cap)
         found, candidates, every = result.found, result.scanned, result.all
     elif method == "contiguous":
@@ -194,7 +200,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     game = load_game(args.game)
     mode = "anonymous" if args.anonymous else args.mode or "auto"
-    max_nodes = _cap(DEFAULT_NODE_CAP, args.max_nodes)
+    max_nodes = _cap(DEFAULT_NODE_CAP, args.max_nodes, "--max-nodes")
     graph = build_improvement_graph(game, mode=mode, max_nodes=max_nodes)
     analysis = analyze_improvement_graph(graph)
     if args.dot:

@@ -196,11 +196,13 @@ def _serialize_payment(pf: PaymentFunction) -> dict:
     for field, names in _TABLE_KEYS.items():
         table = getattr(pf, field)
         if table is not None:
-            out["table"] = [
-                {**{name: list(part) if is_list else part
-                    for (name, is_list), part in zip(names.items(), key)},
-                 "pay": format_rational(pay)}
-                for key, pay in sorted(table.items())]
+            layout = tuple(names.items())
+            out["table"] = entries = []
+            for key, pay in sorted(table.items()):
+                entry = {name: list(part) if is_list else part
+                         for (name, is_list), part in zip(layout, key)}
+                entry["pay"] = format_rational(pay)
+                entries.append(entry)
     return out
 
 

@@ -268,8 +268,19 @@ def concavity_report(game: ContestGame) -> ConcavityReport:
 
 
 def skill_order(game: ContestGame) -> tuple[int, ...]:
-    """Players sorted by non-increasing skill, ties by index (stable)."""
-    return tuple(sorted(game.players(), key=lambda i: (-game.skills[i - 1], i)))
+    """Players sorted by non-increasing skill, ties by index: the (-s_i, i) order.
+
+    Each skill p/q becomes the integer floor(p * 2^k / q), with 2^k at
+    least the square of every denominator.  Two distinct skills differ by
+    at least 1/(q q') > 2^-k, so their keys differ in the same direction,
+    and equal skills share a key: the keys order the players exactly,
+    with no `Fraction` compared and no lcm of the denominators.  A
+    `reverse=True` sort is stable, so ties keep index order.
+    """
+    ratios = [s.as_integer_ratio() for s in game.skills]
+    shift = 2 * max([q for _, q in ratios]).bit_length()
+    keys = [(p << shift) // q for p, q in ratios]
+    return tuple(sorted(game.players(), key=lambda i: keys[i - 1], reverse=True))
 
 
 @dataclass(frozen=True)
@@ -333,8 +344,9 @@ def solve_contiguous_specific(game: ContestGame) -> SolveOutcome:
     """Search contiguous load vectors under player-specific payments.
 
     Every candidate is vetted by the full no-switch condition: no
-    player gains by any switch (`StabilityKernel.stable`), and a hit is
-    re-checked by `is_pne`.  The first satisfying candidate in
+    player gains by any switch (`StabilityKernel.stays` for each player,
+    block by block, in `_scan_candidates`), and a hit is re-checked by
+    `is_pne`.  The first satisfying candidate in
     colexicographic order wins, whatever the payment.  The payment form
     is checked first; only a miss goes to `_prove_miss`, which must prove
     the answer "none" or raise `PreconditionError`.  A hit walks the
@@ -359,17 +371,24 @@ def _scan_candidates(game: ContestGame) -> SolveOutcome:
     """The first contiguous profile, in colex load order, that is stable.
 
     Load vectors are generated one at a time and the scan stops at the
-    first hit.  The outcome reports the full enumeration size
-    C(n+Q-1, Q-1).
+    first hit.  A candidate is tested block by block, straight from the
+    skill order and its load vector: the players of quality q's block
+    each get `StabilityKernel.stays` at q, the block's two end players
+    first (the ones next to another block), then its interior, and the
+    first player who would switch rejects the candidate.  Only the hit's
+    profile is built, and it is re-checked by `is_pne` on a fresh kernel,
+    so the answer does not rest on the scan's memo.  The outcome reports
+    the full enumeration size C(n+Q-1, Q-1).
     """
     kernel = StabilityKernel(game)
     order = skill_order(game)
     count = comb(game.n + game.Q - 1, game.Q - 1)
-    assignments = (_contiguous(game, order, loads)
-                   for loads in compositions(game.n, game.Q))
-    assignment = next((a for a in assignments if kernel.stable(a.profile)), None)
-    if assignment is None:
+    for loads in compositions(game.n, game.Q):
+        if _blocks_stay(kernel, order, loads):
+            break
+    else:
         return SolveOutcome(None, count)
+    assignment = _contiguous(game, order, loads)
     verdict = is_pne(game, assignment.profile)
     if not verdict:
         raise ContigufyError(
@@ -377,6 +396,19 @@ def _scan_candidates(game: ContestGame) -> SolveOutcome:
             f"fails the profile check: {verdict.witness}"
         )
     return SolveOutcome(assignment, count)
+
+
+def _blocks_stay(kernel: StabilityKernel, order: tuple[int, ...], loads: Loads) -> bool:
+    """No player of the contiguous profile of `loads` gains by a switch."""
+    end = 0
+    for q, load in enumerate(loads, 1):
+        if load:
+            block = order[end:end + load]
+            end += load
+            # the block's two ends first: its last player, then on from its first
+            if not all(kernel.stays(i, q, loads) for i in (block[-1], *block[:-1])):
+                return False
+    return True
 
 
 def _product_costs(game: ContestGame) -> bool:

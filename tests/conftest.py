@@ -11,7 +11,10 @@ from contestq import (
     CostFunction,
     Deviation,
     Participation,
+    SolveOutcome,
+    StabilityKernel,
     compositions,
+    contiguous_assignment,
     equal_sharing,
     ktop,
     load_of,
@@ -139,6 +142,16 @@ def payout_sum_bound_holds(game):
 def contiguous_candidate_count(n, Q):
     """How many contiguous candidates there are: one per load vector."""
     return comb(n + Q - 1, Q - 1)
+
+
+def reference_scan(game):
+    """The contiguous scan as first written: `StabilityKernel.stable` of each
+    `contiguous_assignment` in colex load order, stopping at the first hit."""
+    kernel = StabilityKernel(game)
+    assignments = (contiguous_assignment(game, loads)
+                   for loads in compositions(game.n, game.Q))
+    hit = next((a for a in assignments if kernel.stable(a.profile)), None)
+    return SolveOutcome(hit, contiguous_candidate_count(game.n, game.Q))
 
 
 def beyond_cap_table_games(n=13, Q=3):

@@ -501,6 +501,23 @@ def test_non_integer_cap_env_var_is_usage_error(ce1_path, capsys, monkeypatch):
     assert err.startswith("error:") and "CONTESTQ_CAP" in err
 
 
+@pytest.mark.parametrize("command,flag", [
+    (("solve", "--method", "brute"), "--max-profiles"),
+    (("graph",), "--max-nodes"),
+])
+def test_negative_cap_is_usage_error(ce1_path, capsys, monkeypatch, command, flag):
+    argv = (command[0], "--game", ce1_path, *command[1:])
+    code, out, err = run(capsys, *argv, flag, "-5")
+    assert (code, out, err) == (2, "", f"error: {flag} must be >= 0, got -5\n")
+    monkeypatch.setenv("CONTESTQ_CAP", "-3")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: CONTESTQ_CAP must be >= 0, got -3\n")
+    # the flag still overrides the variable, and a cap of 0 is legal: it only binds
+    code, out, err = run(capsys, *argv, flag, "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "cap 0" in err and ">= 0" not in err
+
+
 @pytest.mark.parametrize("skill", [0.5, "1.5", "1e99999999"])
 def test_non_rational_skill_is_usage_error(ce1_path, capsys, skill):
     with open(ce1_path, encoding="utf-8") as fh:

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from contestq import (
     CapExceededError,
@@ -66,6 +68,7 @@ from conftest import (
     random_invariant_table_game,
     reference_equilibria,
     reference_improvements,
+    reference_scan,
     swap_inversions,
 )
 
@@ -917,6 +920,87 @@ def test_solver_precondition_errors():
 def test_skill_order_stable_on_ties():
     game = make_game(3, 2, (1, 2, 1), (1, 2), proportional())
     assert skill_order(game) == (2, 1, 3)
+
+
+# skills that tie (1/3 also as 2/6, which `Fraction` normalizes), that differ by
+# less than 2^-64 near 1, 1/3 and 7/5, or that are drawn at random
+NEAR_SKILLS = st.builds(
+    lambda base, num, den: base + F(num, den),
+    st.sampled_from([F(1), F(1, 3), F(2, 6), F(7, 5)]),
+    st.integers(-3, 3), st.sampled_from([2**64, 2**64 + 1, 3 * 2**70, 10**30]))
+SKILLS = st.lists(st.one_of(
+    st.sampled_from([F(1), F(1, 3), F(2, 6), F(2), F(3, 2)]),
+    NEAR_SKILLS,
+    st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**12),
+), min_size=2, max_size=12)
+
+
+@given(SKILLS)
+@example([F(1), 1 + F(1, 2**70), 1 - F(1, 2**70), 1 + F(1, 2**70), F(2, 6), F(1, 3)])
+def test_skill_order_is_the_exact_skill_then_index_order(skills):
+    game = make_game(len(skills), 2, skills, (1, 2), proportional())
+    assert skill_order(game) == tuple(
+        sorted(game.players(), key=lambda i: (-game.skills[i - 1], i)))
+
+
+def scan_games():
+    """Both concave families at n = 4 to 40 and Q = 2 to 4, `tie_games`,
+    `scaled_games` and both miss fixtures."""
+    games = [random_game(seed, n, Q, family) for family in SOLVER_OF for seed in range(3)
+             for n, Q in ((4, 2), (12, 2), (40, 2), (5, 3), (8, 3), (4, 4), (7, 4))]
+    games += tie_games()
+    games += [game for seed in range(len(KERNEL_SHAPES)) for game in scaled_games(seed)]
+    games += [load_game(FIXTURES / name) for name in
+              ("nonconcave_contiguous_miss.json", "tablecost_contiguous_miss.json")]
+    return games
+
+
+def test_the_block_scan_finds_what_the_profile_scan_finds():
+    """The scan tests players block by block on the kernel; the reference
+    tests each candidate's whole profile with `stable`.  Profile-keyed
+    tables have no contiguous solver."""
+    outcomes = Counter()
+    for game in scan_games():
+        if game.payment.profile_table is not None:
+            with pytest.raises(PreconditionError):
+                solve_contiguous_specific(game)
+            continue
+        out = solvers_module._scan_candidates(game)
+        assert out == reference_scan(game), game
+        outcomes[out.assignment is None] += 1
+    assert outcomes[True] >= 2 and outcomes[False] >= 100
+
+
+def test_a_hit_is_re_checked_once_on_a_kernel_of_its_own(monkeypatch):
+    game = random_game(1, 8, 3, "concave-specific")
+    built, stayed, improved, checks = [], set(), set(), []
+    real_init, real_stays = StabilityKernel.__init__, StabilityKernel.stays
+    real_improvements, real_is_pne = StabilityKernel.improvements, solvers_module.is_pne
+
+    def init(self, game):
+        built.append(self)
+        real_init(self, game)
+
+    def stays(self, *args):
+        stayed.add(id(self))
+        return real_stays(self, *args)
+
+    def improvements(self, profile):
+        improved.add(id(self))
+        return real_improvements(self, profile)
+
+    def is_pne(game, profile):
+        checks.append(profile)
+        return real_is_pne(game, profile)
+
+    monkeypatch.setattr(StabilityKernel, "__init__", init)
+    monkeypatch.setattr(StabilityKernel, "stays", stays)
+    monkeypatch.setattr(StabilityKernel, "improvements", improvements)
+    monkeypatch.setattr(solvers_module, "is_pne", is_pne)
+    out = solve_contiguous_specific(game)
+    assert checks == [out.assignment.profile]
+    scan, check = built
+    assert stayed == {id(scan)} and improved == {id(check)}
 
 
 def test_candidate_scan_sorts_players_once(monkeypatch):
