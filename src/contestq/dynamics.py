@@ -15,12 +15,10 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from fractions import Fraction
 from itertools import groupby, product
 from math import comb
 from operator import attrgetter
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .errors import CapExceededError, PreconditionError
 from .game import (
@@ -139,32 +137,15 @@ def _pick_move(kernel: StabilityKernel, profile: Profile, policy: Policy,
     return options[rng.randrange(len(options))] if options else None
 
 
-class Edge(NamedTuple):
-    source: Node
-    target: Node
-    player: Optional[int]  # None in anonymous (load-vector) mode
-    from_quality: int
-    to_quality: int
-    gain: Fraction
-
-
-def _edge(source: Node, move: tuple) -> Edge:
-    return Edge(source, *move[:4], Fraction(*move[4:]))
-
-
 @dataclass
 class ImprovementGraph:
     """`moves[u]`: u's improving moves in edge order, each a tuple (target,
-    player, from_quality, to_quality, num, den) of gain num/den; `edges`
-    builds their `Edge`s on first read."""
+    player, from_quality, to_quality, num, den) of gain num/den; the player
+    is None in anonymous (load-vector) mode."""
 
     mode: str  # "profile" | "anonymous"
     nodes: list[Node]
     moves: dict[Node, list[tuple]] = field(default_factory=dict)
-
-    @cached_property
-    def edges(self) -> dict[Node, list[Edge]]:
-        return {u: [_edge(u, m) for m in out] for u, out in self.moves.items()}
 
     def sinks(self) -> list[Node]:
         return [u for u in self.nodes if not self.moves[u]]
@@ -185,6 +166,10 @@ def anonymous_mode_applicable(game: ContestGame) -> bool:
 
 def build_improvement_graph(game: ContestGame, mode: str = "auto",
                             max_nodes: int = DEFAULT_NODE_CAP) -> ImprovementGraph:
+    """Every node's improving moves: the Q^n profiles in lexicographic order,
+    or in anonymous mode the load vectors in colex order."""
+    if max_nodes < 0:
+        raise PreconditionError(f"max_nodes must be >= 0, got {max_nodes}")
     if mode == "auto":
         mode = "anonymous" if anonymous_mode_applicable(game) else "profile"
     if mode == "anonymous":
@@ -193,44 +178,27 @@ def build_improvement_graph(game: ContestGame, mode: str = "auto",
                 "anonymous mode needs equal skills, identical cost rows, "
                 "and a player-invariant payment"
             )
-        return _build_anonymous(game, max_nodes)
-    if mode != "profile":
+        count, what = comb(game.n + game.Q - 1, game.Q - 1), "load"
+    elif mode == "profile":
+        count, what = game.Q**game.n, "profile"
+    else:
         raise PreconditionError(f"unknown graph mode {mode!r}")
-    return _build_profile(game, max_nodes)
-
-
-def _build_profile(game: ContestGame, max_nodes: int) -> ImprovementGraph:
-    count = game.Q**game.n
     if count > max_nodes:
-        raise CapExceededError(
-            f"profile graph has {count} nodes, above the cap {max_nodes}"
-        )
-    nodes = [tuple(p) for p in product(game.qualities(), repeat=game.n)]
-    graph = ImprovementGraph(mode="profile", nodes=nodes)
+        raise CapExceededError(f"{what} graph has {count} nodes, above the cap {max_nodes}")
     kernel = StabilityKernel(game)
-    for node in nodes:
-        key = _payment_key(game, node)
-        graph.moves[node] = [
-            (node[:i - 1] + (b,) + node[i:], i, a, b, num, den)
-            for i, a in enumerate(node, 1) for b, num, den in kernel.gains(i, a, key)]
-    return graph
-
-
-def _build_anonymous(game: ContestGame, max_nodes: int) -> ImprovementGraph:
-    count = comb(game.n + game.Q - 1, game.Q - 1)
-    if count > max_nodes:
-        raise CapExceededError(
-            f"load graph has {count} nodes, above the cap {max_nodes}"
-        )
-    nodes = list(compositions(game.n, game.Q))
-    graph = ImprovementGraph(mode="anonymous", nodes=nodes)
-    kernel = StabilityKernel(game)  # players are interchangeable: ask player 1
-    for loads in nodes:
-        graph.moves[loads] = [
-            (_shift(loads, a, b), None, a, b, num, den)
-            for a in game.qualities() if loads[a - 1]
-            for b, num, den in kernel.gains(1, a, loads)]
-    return graph
+    moves = {}
+    if mode == "anonymous":  # players are interchangeable: ask player 1
+        for loads in compositions(game.n, game.Q):
+            moves[loads] = [(_shift(loads, a, b), None, a, b, num, den)
+                            for a in game.qualities() if loads[a - 1]
+                            for b, num, den in kernel.gains(1, a, loads)]
+    else:
+        for node in product(game.qualities(), repeat=game.n):
+            key = _payment_key(game, node)
+            moves[node] = [(node[:i - 1] + (b,) + node[i:], i, a, b, num, den)
+                           for i, a in enumerate(node, 1)
+                           for b, num, den in kernel.gains(i, a, key)]
+    return ImprovementGraph(mode, list(moves), moves)
 
 
 @dataclass(frozen=True)
@@ -299,7 +267,7 @@ def find_cycle(graph: ImprovementGraph) -> Optional[list[Node]]:
 @dataclass(frozen=True)
 class NoSwitchReport:
     holds: bool
-    violations: list[Edge]
+    violations: list[tuple[Node, tuple]]  # (source, move): upward entries of `graph.moves`
     boundary_state_clean: Optional[bool]  # voluntary only: (n-1, 1, 0, ...) has no 1<->2 step
 
 
@@ -316,8 +284,7 @@ def check_no_switch_lemma(game: ContestGame) -> NoSwitchReport:
     if game.payment.kind is not PaymentKind.PROPORTIONAL:
         raise PreconditionError("the no-switch check targets proportional allocation")
     graph = build_improvement_graph(game)
-    violations = [_edge(u, m) for u in graph.nodes for m in graph.moves[u]
-                  if m[3] > m[2]]
+    violations = [(u, m) for u in graph.nodes for m in graph.moves[u] if m[3] > m[2]]
     boundary: Optional[bool] = None
     if game.participation is Participation.VOLUNTARY and graph.mode == "anonymous":
         state = (game.n - 1, 1) + (0,) * (game.Q - 2)

@@ -25,6 +25,7 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import GameValidationError
 from .payments import (
     PaymentFunction,
+    _exact,
     _payment_key,
     evaluate_payment,
     load_of,
@@ -65,7 +66,7 @@ class CostFunction:
                 raise GameValidationError("table cost requires values")
             for row in self.table:
                 for entry in row:
-                    if entry < 0:
+                    if _exact(entry, "cost table entries") < 0:
                         raise GameValidationError("cost table entries must be >= 0")
         elif self.table is not None:
             raise GameValidationError("product cost takes no table")
@@ -98,9 +99,9 @@ class ContestGame:
             raise GameValidationError("skills must have one entry per player")
         if len(self.efforts) != self.Q:
             raise GameValidationError("efforts must have one entry per quality")
-        if any(s <= 0 for s in self.skills):
+        if any(_exact(s, "skills") <= 0 for s in self.skills):
             raise GameValidationError("skills must be positive")
-        if any(f < 0 for f in self.efforts):
+        if any(_exact(f, "efforts") < 0 for f in self.efforts):
             raise GameValidationError("efforts must be non-negative")
         for lo, hi in zip(self.efforts, self.efforts[1:]):
             if lo >= hi:
@@ -137,15 +138,9 @@ class ContestGame:
 
     def cost_of(self, player: int, quality: int) -> Fraction:
         """Cost of `player` (1-indexed) writing a review of `quality`."""
-        return Fraction(*self.cost_ratio(player, quality))
-
-    def cost_ratio(self, player: int, quality: int) -> tuple[int, int]:
-        """`cost_of` as (numerator, denominator > 0), not always in lowest terms."""
         if self.cost.table is not None:
-            return self.cost.table[player - 1][quality - 1].as_integer_ratio()
-        sn, sd = self.skills[player - 1].as_integer_ratio()
-        fn, fd = self.efforts[quality - 1].as_integer_ratio()
-        return sn * fn, sd * fd
+            return self.cost.table[player - 1][quality - 1]
+        return self.skills[player - 1] * self.efforts[quality - 1]
 
     def qualities(self) -> range:
         return range(1, self.Q + 1)
@@ -225,7 +220,8 @@ def _shift(loads: Loads, down: int, up: int) -> Loads:
 
 
 def _cost_rows(game: ContestGame) -> list[list[tuple[int, int]]]:
-    """Every `cost_ratio` of `game` at once: row i - 1 holds player i's."""
+    """Every `cost_of` of `game` at once, as (numerator, denominator > 0)
+    pairs not always in lowest terms: row i - 1 holds player i's."""
     if game.cost.table is not None:
         return [[c.as_integer_ratio() for c in row] for row in game.cost.table]
     efforts = [f.as_integer_ratio() for f in game.efforts]

@@ -45,6 +45,16 @@ class PaymentKind(Enum):
 
 Matrix = tuple[tuple[Fraction, ...], ...]  # Q rows (quality) x n cols (load)
 
+
+def _exact(value, what: str):
+    """`value` itself if it is an int (not a bool) or a `Fraction`.  A float
+    is not exact, and a game file written from a float or a bool cannot be
+    read back."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise GameValidationError(f"{what} must be ints or Fractions, got {value!r}")
+    return value
+
+
 # the fields besides `kind` that each kind carries: exactly one of these sets
 _KIND_FIELDS = {
     PaymentKind.PROPORTIONAL: (frozenset(),),
@@ -97,7 +107,7 @@ class PaymentFunction:
         for mat in mats or ():
             if len(mat) != Q or any(len(row) != n for row in mat):
                 raise GameValidationError("oblivious matrices must be Q x n")
-            if any(entry < 0 for row in mat for entry in row):
+            if any(_exact(entry, "oblivious payments") < 0 for row in mat for entry in row):
                 raise GameValidationError("oblivious payments must be >= 0")
         for (q, loads), pay in (self.invariant_table or {}).items():
             if (not 1 <= q <= Q or len(loads) != Q or min(loads) < 0
@@ -107,17 +117,19 @@ class PaymentFunction:
                 raise GameValidationError(
                     f"invariant-table key {(q, loads)}: quality unoccupied"
                 )
-            if pay < 0:
+            if _exact(pay, "invariant payments") < 0:
                 raise GameValidationError("invariant payments must be >= 0")
-        for (i, prof) in self.profile_table or ():
+        for (i, prof), pay in (self.profile_table or {}).items():
             if (not 1 <= i <= n or len(prof) != n
                     or any(not 1 <= q <= Q for q in prof)):
                 raise GameValidationError(f"bad profile-table key {(i, prof)}")
+            _exact(pay, "player-specific payments")
         held = 0  # loads-table keys at an occupied quality
-        for (i, q, loads) in self.loads_table or ():
+        for (i, q, loads), pay in (self.loads_table or {}).items():
             if (not 1 <= i <= n or not 1 <= q <= Q or len(loads) != Q
                     or min(loads) < 0 or sum(loads) != n):
                 raise GameValidationError(f"bad loads-table key {(i, q, loads)}")
+            _exact(pay, "player-specific payments")
             held += loads[q - 1] >= 1
         # keys are distinct and in range, so a table is complete exactly when it
         # holds as many keys as the game has entries; a loads-table key at an

@@ -79,6 +79,8 @@ def brute_force_pne(game: ContestGame, find_all: bool = False,
     least first equilibrium of those visited.  Profile-keyed tables cost
     one `stable` test per profile: n*Q^n utility comparisons.
     """
+    if cap < 0:
+        raise PreconditionError(f"cap must be >= 0, got {cap}")
     count = game.Q**game.n
     if count > cap:
         raise CapExceededError(f"{count} profiles exceed the cap {cap}")
@@ -169,9 +171,6 @@ class ConcavityReport:
         return self.holds
 
 
-_CLOSED_FORMS = (PaymentKind.PROPORTIONAL, PaymentKind.EQUAL_SHARING, PaymentKind.KTOP)
-
-
 def _concavity_scan(game: ContestGame,
                     players: Sequence[Optional[int]]) -> ConcavityReport:
     """Shared quantification for both concavity definitions.
@@ -240,19 +239,8 @@ def is_three_discrete_concave_specific(game: ContestGame) -> ConcavityReport:
 
 
 def is_three_discrete_concave_invariant(game: ContestGame) -> ConcavityReport:
-    """Concavity check for player-invariant payments.
-
-    The closed forms hold at Q = 2 by theorem and are not scanned: only
-    the swap inequality applies.  Under equal sharing and K-Top it reads
-    c*f_k/(L_k+1) + c*f_i/(L_i+1) <= c*f_i/L_i + c*f_k/L_k; under
-    proportional allocation, with T = sum(L_a f_a) and d = f_k - f_i, it
-    reduces to d^2 (f_i + f_k - T) <= 0, and T >= f_i + f_k as both
-    qualities are occupied (where T = d the zero total pays 0, which only
-    helps).
-    """
+    """Concavity check for player-invariant payments."""
     _require_invariant(game, "the player-invariant checker")
-    if game.Q == 2 and game.payment.kind in _CLOSED_FORMS:
-        return ConcavityReport(True)
     return _concavity_scan(game, [None])
 
 

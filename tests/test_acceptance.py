@@ -71,7 +71,7 @@ def test_criterion_1_counterexample_1():
     cycle = [(1, 2), (3, 2), (3, 1), (2, 1), (2, 3), (1, 3), (1, 2)]
     graph = build_improvement_graph(game, mode="profile")
     for a, b in zip(cycle, cycle[1:]):
-        assert b in [e.target for e in graph.edges[a]], (a, b)
+        assert b in [m[0] for m in graph.moves[a]], (a, b)
     elapsed = report("criterion 1: counterexample 1 (no PNE, exact 6-cycle)",
                      started)
     assert elapsed < 1.0
@@ -86,7 +86,7 @@ def test_criterion_2_counterexample_2():
         cycle = [(k, k + 1), (k - 1, k + 1), (k - 1, k), (k, k), (k, k + 1)]
         graph = build_improvement_graph(game, mode="profile")
         for a, b in zip(cycle, cycle[1:]):
-            assert b in [e.target for e in graph.edges[a]], (k, a, b)
+            assert b in [m[0] for m in graph.moves[a]], (k, a, b)
         elapsed = report(f"criterion 2: counterexample 2, k={k} "
                          f"(no PNE, 4-cycle)", started)
         assert elapsed < 1.0

@@ -137,13 +137,23 @@ def test_analyze_graph_counterexample2_cycle_witness():
     assert witness[0] == witness[-1]
     graph = build_improvement_graph(game, mode="profile")
     for a, b in zip(witness, witness[1:]):
-        assert b in [e.target for e in graph.edges[a]]
+        assert b in [m[0] for m in graph.moves[a]]
 
 
 def test_graph_cap():
     game = build("fip_voluntary", n=4, Q=3).game
     with pytest.raises(CapExceededError):
         build_improvement_graph(game, mode="profile", max_nodes=10)
+
+
+@pytest.mark.parametrize("mode", ["auto", "profile", "anonymous"])
+def test_graph_rejects_a_negative_cap(mode):
+    game = build("fip_voluntary", n=2, Q=3).game
+    with pytest.raises(PreconditionError, match="max_nodes must be >= 0, got -1"):
+        build_improvement_graph(game, mode=mode, max_nodes=-1)
+    what = "profile graph has 9" if mode == "profile" else "load graph has 6"
+    with pytest.raises(CapExceededError, match=f"{what} nodes, above the cap 0"):
+        build_improvement_graph(game, mode=mode, max_nodes=0)
 
 
 def test_anonymous_mode_needs_interchangeable_players():
@@ -162,9 +172,12 @@ def test_no_switch_lemma_voluntary_and_mandatory():
 
 
 def test_no_switch_lemma_violated_by_counterexample2():
-    report = check_no_switch_lemma(build("ce2", k=2).game)
+    game = build("ce2", k=2).game
+    report = check_no_switch_lemma(game)
+    graph = build_improvement_graph(game)
     assert not report.holds
-    assert any(e.to_quality > e.from_quality for e in report.violations)
+    assert report.violations
+    assert all(m[3] > m[2] and m in graph.moves[u] for u, m in report.violations)
 
 
 def test_no_switch_requires_proportional(es_2x2):
@@ -178,9 +191,8 @@ def test_potential_game_graph_acyclic_and_potential_increases(es_2x2):
     cache = build_potential_cache(es_2x2)
     graph = build_improvement_graph(es_2x2, mode="profile")
     for node in graph.nodes:
-        for edge in graph.edges[node]:
-            assert potential(es_2x2, edge.target, cache) > \
-                potential(es_2x2, edge.source, cache)
+        for target, *_ in graph.moves[node]:
+            assert potential(es_2x2, target, cache) > potential(es_2x2, node, cache)
 
 
 def test_sinks_equal_brute_force_pne_set():
@@ -275,11 +287,10 @@ def test_voluntary_sub_unit_effort_boundary():
     assert analysis.sinks == [(0, 2), (1, 1)]
     report = check_no_switch_lemma(game)
     assert not report.holds
-    assert [(e.source, e.from_quality, e.to_quality)
-            for e in report.violations] == [((2, 0), 1, 2)]
+    assert [(u, m[2], m[3]) for u, m in report.violations] == [((2, 0), 1, 2)]
 
 
-# --- moves and edges agree -----------------------------------------------
+# --- the moves readers against a reference -------------------------------
 
 AGREEMENT_SHAPES = ((2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4), (5, 2))
 
@@ -297,19 +308,19 @@ def agreement_games(name):
     return [build(name).game]
 
 
-def analysis_from_edges(graph):
-    """`analyze_improvement_graph` recomputed from `graph.edges` alone, the
-    witness from a recursive DFS over `Edge.target`: roots in node order,
-    edges in list order, the cycle closed by the first edge back to the path."""
+def analysis_from_moves(graph):
+    """`analyze_improvement_graph` recomputed from `graph.moves` alone, the
+    witness from a recursive DFS over the move targets: roots in node order,
+    moves in list order, the cycle closed by the first move back to the path."""
     done, path = set(), []
 
     def visit(u):
         path.append(u)
-        for e in graph.edges[u]:
-            if e.target in path:
-                return path[path.index(e.target):] + [e.target]
-            if e.target not in done:
-                cycle = visit(e.target)
+        for target, *_ in graph.moves[u]:
+            if target in path:
+                return path[path.index(target):] + [target]
+            if target not in done:
+                cycle = visit(target)
                 if cycle:
                     return cycle
         done.add(path.pop())
@@ -318,23 +329,21 @@ def analysis_from_edges(graph):
     witness = next((c for c in (visit(u) for u in graph.nodes if u not in done) if c), None)
     return GraphAnalysis(
         mode=graph.mode, acyclic=witness is None,
-        sinks=sorted(u for u in graph.nodes if not graph.edges[u]),
+        sinks=sorted(u for u in graph.nodes if not graph.moves[u]),
         cycle_witness=witness, node_count=len(graph.nodes),
-        edge_count=sum(map(len, graph.edges.values())))
+        edge_count=sum(map(len, graph.moves.values())))
 
 
 @pytest.mark.parametrize("name", FAMILIES + ("ce1", "ce2", "matching_pennies",
                                              "fip_voluntary", "fip_mandatory"))
-def test_moves_readers_agree_with_edges(name):
+def test_moves_readers_agree_with_a_recursive_reference(name):
     for game in agreement_games(name):
         modes = ["profile"] + (["anonymous"] if anonymous_mode_applicable(game) else [])
         for mode in modes:
             graph = build_improvement_graph(game, mode=mode)
-            assert analyze_improvement_graph(graph) == analysis_from_edges(graph), mode
-            for u in graph.nodes:
-                assert [e.source for e in graph.edges[u]] == [u] * len(graph.moves[u])
+            assert analyze_improvement_graph(graph) == analysis_from_moves(graph), mode
+            assert list(graph.moves) == graph.nodes, mode
         if game.payment.kind is PaymentKind.PROPORTIONAL:
             graph = build_improvement_graph(game)
-            upward = [e for u in graph.nodes for e in graph.edges[u]
-                      if e.to_quality > e.from_quality]
+            upward = [(u, m) for u in graph.nodes for m in graph.moves[u] if m[3] > m[2]]
             assert check_no_switch_lemma(game).violations == upward

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -10,11 +11,16 @@ from contestq import (
     GameValidationError,
     Participation,
     build,
+    compositions,
     improvement_steps,
     is_pne,
+    load_game,
     load_of,
+    oblivious_table,
+    player_invariant_table,
     player_specific_table,
     proportional,
+    save_game,
     utility,
 )
 from contestq.game import CostMonotonicityWarning, _cost_rows
@@ -132,7 +138,7 @@ def test_cost_table_monotonicity_warns_not_rejects():
 @pytest.mark.parametrize("voluntary", [True, False])
 @pytest.mark.parametrize("kind", ["product", "table"])
 @pytest.mark.parametrize("seed", range(4))
-def test_cost_ratio_is_cost_of_as_an_integer_pair(kind, voluntary, seed):
+def test_cost_rows_are_cost_of_as_integer_pairs(kind, voluntary, seed):
     import random
 
     rng = random.Random(seed)
@@ -146,15 +152,15 @@ def test_cost_ratio_is_cost_of_as_an_integer_pair(kind, voluntary, seed):
                  for _ in range(n))
     cost = CostFunction("table", rows) if kind == "table" else None
     game = make_game(n, Q, skills, efforts, proportional(), cost=cost)
+    pairs = _cost_rows(game)
+    assert [len(row) for row in pairs] == [Q] * n
     for i in game.players():
         for q in game.qualities():
-            num, den = game.cost_ratio(i, q)
+            num, den = pairs[i - 1][q - 1]
             expected = (rows[i - 1][q - 1] if kind == "table"
                         else skills[i - 1] * efforts[q - 1])
             assert den > 0
             assert F(num, den) == game.cost_of(i, q) == expected
-    assert _cost_rows(game) == [[game.cost_ratio(i, q) for q in game.qualities()]
-                                for i in game.players()]
 
 
 def test_voluntary_cost_table_must_be_zero_at_quality_one():
@@ -162,3 +168,48 @@ def test_voluntary_cost_table_must_be_zero_at_quality_one():
     with pytest.raises(GameValidationError):
         make_game(2, 2, (1, 1), (0, 2), proportional(),
                   cost=CostFunction("table", table))
+
+
+def numeric_slots(value):
+    """Every numeric field of an n = Q = 2 game, each holding `value` in one
+    slot and legal values elsewhere: name -> a builder of that game."""
+    def game(**changes):
+        fields = dict(n=2, Q=2, skills=(F(1), F(1)), efforts=(F(1), F(2)),
+                      participation=Participation.MANDATORY,
+                      cost=CostFunction("product"), payment=proportional())
+        return ContestGame(**{**fields, **changes})
+
+    def with_last(table):
+        table[list(table)[-1]] = value
+        return table
+
+    ones = ((F(1), F(1)), (F(1), F(1)))
+    loads = list(compositions(2, 2))
+    return {
+        "skills": lambda: game(skills=(F(1), value)),
+        "efforts": lambda: game(efforts=(F(1), value)),
+        "cost table": lambda: game(cost=CostFunction("table", ((F(1), F(2)), (F(1), value)))),
+        "matrix": lambda: game(payment=oblivious_table(matrix=((F(1), F(1)), (F(1), value)))),
+        "matrices": lambda: game(payment=oblivious_table(
+            matrices=(ones, ((F(1), F(1)), (F(1), value))))),
+        "invariant table": lambda: game(payment=player_invariant_table(with_last(
+            {(q, v): F(1) for v in loads for q in (1, 2) if v[q - 1]}))),
+        "profile table": lambda: game(payment=player_specific_table(profile_table=with_last(
+            {(i, p): F(1) for i in (1, 2) for p in product((1, 2), repeat=2)}))),
+        "loads table": lambda: game(payment=player_specific_table(loads_table=with_last(
+            {(i, q, v): F(1) for i in (1, 2) for v in loads for q in (1, 2) if v[q - 1]}))),
+    }
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False, "3/2"])
+@pytest.mark.parametrize("field", list(numeric_slots(0)))
+def test_games_hold_only_ints_and_fractions(field, bad, tmp_path):
+    """Floats and bools are rejected in every numeric field: neither is
+    exact, and a game file written from one could not be read back.  Ints
+    and Fractions are accepted, and their games round-trip through a file."""
+    with pytest.raises(GameValidationError, match="must be ints or Fractions"):
+        numeric_slots(bad)[field]()
+    for good in (3, F(3, 2)):
+        game = numeric_slots(good)[field]()
+        save_game(game, tmp_path / "game.json")
+        assert load_game(tmp_path / "game.json") == game

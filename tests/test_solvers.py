@@ -54,7 +54,7 @@ from contestq import (
 import contestq.game as game_module
 import contestq.payments as payments_module
 import contestq.solvers as solvers_module
-from contestq.dynamics import Edge, _pick_move, anonymous_mode_applicable
+from contestq.dynamics import _pick_move, anonymous_mode_applicable
 from contestq.instances import FAMILIES
 from contestq.solvers import ConcavityViolation, concavity_report
 from contestq.payments import compositions, payer
@@ -93,6 +93,14 @@ def test_brute_force_matching_pennies():
 def test_brute_force_cap():
     with pytest.raises(CapExceededError):
         brute_force_pne(build("ce1").game, cap=8)
+
+
+def test_brute_force_rejects_a_negative_cap():
+    game = build("ce1").game
+    with pytest.raises(PreconditionError, match="cap must be >= 0, got -1"):
+        brute_force_pne(game, cap=-1)
+    with pytest.raises(CapExceededError, match="9 profiles exceed the cap 0"):
+        brute_force_pne(game, cap=0)
 
 
 # --- the deviation kernel against a scan written from the definition -------
@@ -227,14 +235,19 @@ def tie_games():
     return [make_game(2, 2, (1, 1), (1, 2), pay, cost=cost) for pay in payments]
 
 
-def reference_anonymous_edges(game, loads):
-    """The anonymous edges out of `loads`, from `utility` on one profile with
+def reference_anonymous_moves(game, loads):
+    """The anonymous moves out of `loads`, from `utility` on one profile with
     those loads: for each occupied a, the moves of the first player at a."""
     profile = tuple(q for q, m in enumerate(loads, 1) for _ in range(m))
     moves = reference_improvements(game, profile)
-    return [Edge(loads, load_of(m.apply(profile), game.Q), None, a, m.quality, m.gain)
+    return [(load_of(m.apply(profile), game.Q), None, a, m.quality, m.gain)
             for a in game.qualities() if loads[a - 1]
             for m in moves if m.player == profile.index(a) + 1]
+
+
+def exact_moves(graph):
+    """`graph.moves` with each gain read as `Fraction(num, den)`."""
+    return {u: [(*m[:4], F(*m[4:])) for m in out] for u, out in graph.moves.items()}
 
 
 def test_tie_games_are_all_ties():
@@ -254,8 +267,9 @@ def test_integer_kernel_is_exact_and_strict(seed):
             assert (verdict.holds, verdict.witness) == (not ref, best)
             assert improvement_steps(game, p) == ref
         graph = build_improvement_graph(game, mode="profile")
-        assert graph.edges == {
-            p: [Edge(p, m.apply(p), m.player, p[m.player - 1], m.quality, m.gain)
+        assert graph.nodes == list(moves)
+        assert exact_moves(graph) == {
+            p: [(m.apply(p), m.player, p[m.player - 1], m.quality, m.gain)
                 for m in ref] for p, ref in moves.items()}
         sinks = [p for p, ref in moves.items() if not ref]
         analysis = analyze_graph(game, mode="profile")
@@ -264,11 +278,11 @@ def test_integer_kernel_is_exact_and_strict(seed):
         assert brute_force_pne(game, find_all=True).all == tuple(sinks)
         if anonymous_mode_applicable(game):
             graph = build_improvement_graph(game, mode="anonymous")
-            assert graph.edges == {v: reference_anonymous_edges(game, v)
-                                   for v in compositions(game.n, game.Q)}
+            assert exact_moves(graph) == {v: reference_anonymous_moves(game, v)
+                                          for v in compositions(game.n, game.Q)}
             analysis = analyze_graph(game, mode="anonymous")
-            assert analysis.sinks == sorted(v for v, out in graph.edges.items() if not out)
-            assert analysis.edge_count == sum(map(len, graph.edges.values()))
+            assert analysis.sinks == sorted(v for v, out in graph.moves.items() if not out)
+            assert analysis.edge_count == sum(map(len, graph.moves.values()))
 
 
 @pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
@@ -400,11 +414,10 @@ def test_stable_builds_no_fraction_once_the_kernel_is_built(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(len(KERNEL_SHAPES)))
-def test_graph_readers_build_no_fraction_and_edges_one_per_edge(seed, monkeypatch):
+def test_graph_readers_build_no_fraction_past_the_payer(seed, monkeypatch):
     """A kernel's set-up builds only the payer's (the normalization
-    constants).  Past it, analysing and rendering a graph build no
-    `Fraction`, the no-switch check builds one per violation it reports,
-    and the first read of `graph.edges` builds one per edge."""
+    constants).  Past it, analysing and rendering a graph and the
+    no-switch check build no `Fraction`."""
     for game in scaled_games(seed) + (tie_games() if seed == 0 else []):
         setup, _ = fractions_built(monkeypatch, lambda: payer(game))
         kernel, _ = fractions_built(monkeypatch, lambda: StabilityKernel(game))
@@ -414,12 +427,10 @@ def test_graph_readers_build_no_fraction_and_edges_one_per_edge(seed, monkeypatc
         built, _ = fractions_built(monkeypatch, lambda: to_dot(build_improvement_graph(game)))
         assert built == setup, (game.payment.kind, analysis.mode)
         graph = build_improvement_graph(game)
-        built, edges = fractions_built(monkeypatch, lambda: graph.edges)
-        assert built == analysis.edge_count == sum(map(len, edges.values()))
-        assert fractions_built(monkeypatch, lambda: graph.edges) == (0, edges)
+        assert analysis.edge_count == sum(map(len, graph.moves.values()))
         if game.payment.kind is PaymentKind.PROPORTIONAL:
-            built, report = fractions_built(monkeypatch, lambda: check_no_switch_lemma(game))
-            assert built == setup + len(report.violations), analysis.mode
+            built, _ = fractions_built(monkeypatch, lambda: check_no_switch_lemma(game))
+            assert built == setup, analysis.mode
 
 
 # --- concavity checkers ----------------------------------------------------
@@ -676,15 +687,8 @@ def test_concavity_gate_builds_no_fraction_past_the_payer(seed, monkeypatch):
         except PreconditionError:
             continue
         setup, _ = fractions_built(monkeypatch, lambda: payer(game))
-        if closed_form_at_two(game):  # decided by theorem: not even the payer is built
-            setup = 0
         built, _ = fractions_built(monkeypatch, lambda: concavity_report(game))
         assert built == setup, game.payment.kind
-
-
-def closed_form_at_two(game):
-    """Whether the gate decides `game` by theorem: a closed form at Q = 2."""
-    return game.Q == 2 and game.payment.kind in solvers_module._CLOSED_FORMS
 
 
 def counting_scans(monkeypatch):
@@ -699,7 +703,15 @@ def counting_scans(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("Q", [2, 3, 4])
 def test_closed_forms_are_concave_exactly_at_two_qualities(n, Q, monkeypatch):
-    """The scan is the oracle: every kind and K, voluntary and mandatory."""
+    """The scan is the oracle: every kind and K, voluntary and mandatory.
+
+    At Q = 2 the closed forms hold by theorem, as only the swap inequality
+    applies.  Under equal sharing and K-Top it reads c*f_k/(L_k+1) +
+    c*f_i/(L_i+1) <= c*f_i/L_i + c*f_k/L_k; under proportional allocation,
+    with T = sum(L_a f_a) and d = f_k - f_i, it reduces to
+    d^2 (f_i + f_k - T) <= 0, and T >= f_i + f_k as both qualities are
+    occupied (where T = d the zero total pays 0, which only helps).
+    """
     rng = random.Random(10 * n + Q)
     games = []
     for voluntary in (False, True):
@@ -714,18 +726,17 @@ def test_closed_forms_are_concave_exactly_at_two_qualities(n, Q, monkeypatch):
     assert [report.holds for report in oracle] == [Q == 2] * len(games)
     scans = counting_scans(monkeypatch)
     assert [concavity_report(game) for game in games] == oracle
-    assert len(scans) == (0 if Q == 2 else len(games))
+    assert len(scans) == len(games)
 
 
-def test_closed_forms_at_two_qualities_read_no_payment(monkeypatch):
+def test_closed_forms_at_two_qualities_are_concave_at_scale(monkeypatch):
     n = 2000
     games = [make_game(n, 2, (1,) * n, efforts, payment)
              for efforts in ((1, 2), (0, F(3, 7)))
              for payment in (proportional(), equal_sharing(), ktop(1), ktop(2))]
     scans = counting_scans(monkeypatch)
-    reads = counting_gate_payer(monkeypatch)
     assert all(concavity_report(game) for game in games)
-    assert scans == [] and not reads
+    assert scans == games
 
 
 # --- contigufication --------------------------------------------------------
